@@ -32,7 +32,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,7 +76,7 @@ func run(args []string, out io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit alerts as JSON lines instead of text")
 	scenarioName := fs.String("scenario", "", "run a live simulated scenario instead of reading a capture")
 	seed := fs.Int64("seed", 1, "seed for -scenario runs")
-	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "detection worker shards; 1 runs the serial engine")
+	shards := fs.Int("shards", 1, "detection worker shards; 1 runs the serial engine")
 	ingest := fs.Int("ingest", 1, "parallel ingest routers partitioning capture decode (sharded engine only); 1 keeps the single synchronous router")
 	correlatorsSpec := fs.String("correlators", "", "comma-separated protocol correlators to enable (default: all); see -correlators help")
 	limitsSpec := fs.String("limits", "", "state budget caps as k=v pairs: sessions,frags,streams,ims,seqs,bindings,alerts,events (0 or absent = unbounded)")

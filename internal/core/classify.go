@@ -1,7 +1,11 @@
 package core
 
 import (
+	"errors"
+
+	"scidive/internal/accounting"
 	"scidive/internal/rtp"
+	"scidive/internal/sip"
 )
 
 // This file implements content-confirmed protocol classification: the
@@ -16,19 +20,22 @@ import (
 // payload wins, and the resulting view is flagged with the port's
 // expected protocol (FrameView.PortProto) so the evasion correlator can
 // raise protocol-mismatch / evasion-suspect self-alerts. If no step
-// confirms, the frame falls through to the raw footprint path exactly
-// as before — the ladder never changes the fate of traffic that decodes
-// under its port's protocol, which is what keeps the pre-existing
-// scenario goldens byte-identical.
+// confirms, the frame falls through to the raw footprint path — the
+// ladder never changes the fate of traffic that decodes under its
+// port's protocol.
+//
+// classifyPayload is the one decoder that does all of this. The
+// distiller (serial engine and shards), the sharded router and the
+// parallel-ingest lanes all call it; they differ only in where a SIP
+// message lands (sipSink) and in what they do with the decoded view:
+// the distiller counts stats and keeps the view, while the router and
+// the lanes reduce it to an ingDigest for the stateful routing half.
 
 // contentConfirmer correlators can recognize their protocol's wire
 // shape from payload bytes alone, independent of ports. confirmContent
 // must be cheap, allocation-free, and conservative: a confirmation only
 // nominates the protocol for full decoding, so false positives waste a
-// decode attempt but false negatives hide evasion. The distiller, the
-// sharded router, and the parallel-ingest lanes all build their ladder
-// from the same registry, so every classification site reclassifies
-// identically.
+// decode attempt but false negatives hide evasion.
 type contentConfirmer interface {
 	// contentProto is the protocol the confirmer recognizes.
 	contentProto() Protocol
@@ -174,4 +181,127 @@ func (l classifyLadder) tunnelSniff(b []byte) (Protocol, bool) {
 		}
 	}
 	return ProtoOther, false
+}
+
+// sipSink says where the classifier parses a SIP payload: into a fresh
+// Message (into == nil: the distiller, whose trails retain the message)
+// or into caller-owned scratch that the next parse overwrites (the
+// router and the ingest lanes, which keep only interned strings).
+type sipSink struct {
+	parser *sip.Parser
+	into   *sip.Message
+}
+
+func (s sipSink) parse(b []byte) (*sip.Message, error) {
+	if s.into == nil {
+		return s.parser.Parse(b)
+	}
+	if err := s.parser.ParseInto(b, s.into); err != nil {
+		return nil, err
+	}
+	return s.into, nil
+}
+
+// decodable reports whether a port claim names a protocol the classifier
+// decodes. Other claims (the control plane's ProtoControl) mark traffic
+// to ignore.
+func decodable(p Protocol) bool {
+	switch p {
+	case ProtoSIP, ProtoAccounting, ProtoRTP, ProtoRTCP:
+		return true
+	}
+	return false
+}
+
+// classifyPayload decodes a payload whose port claimed the given
+// (decodable) protocol: the claimed protocol's decoder first, then the
+// ladder when that decoder rejects the payload. It fills v's Proto,
+// PortProto and the content protocol's decoded fields (Msg, RTP with
+// EmbeddedSIP, RTCP or Txn) and returns nil. When nothing decodes, v
+// becomes a raw view (ProtoOther on the claimed port) and the claimed
+// decoder's error, the raw reason, is returned. v must be zero on entry.
+//
+// classifyPayload touches no stats and no session state: the ladder's
+// confirm functions and the decoders are pure, and the SIP sink is the
+// caller's, so ingest lanes call it in parallel.
+func classifyPayload(ladder classifyLadder, claimed Protocol, payload []byte, sink sipSink, v *FrameView) error {
+	var err error
+	switch claimed {
+	case ProtoSIP:
+		var m *sip.Message
+		if m, err = sink.parse(payload); err == nil {
+			v.Proto, v.Msg = ProtoSIP, m
+			return nil
+		}
+	case ProtoAccounting:
+		var txn accounting.Txn
+		if txn, err = accounting.ParseTxn(payload); err == nil {
+			v.Proto, v.Txn = ProtoAccounting, txn
+			return nil
+		}
+	case ProtoRTP:
+		if err = rtp.PeekHeader(payload, &v.RTP); err == nil {
+			v.Proto, v.EmbeddedSIP = ProtoRTP, rtpPayloadHasSIP(payload, &v.RTP)
+			return nil
+		}
+		v.RTP = rtp.HeaderView{}
+	case ProtoRTCP:
+		if err = rtp.PeekCompound(payload, &v.RTCP); err == nil {
+			v.Proto = ProtoRTCP
+			return nil
+		}
+		v.RTCP = rtp.CompoundView{}
+	}
+	return ladder.reclassify(claimed, payload, sink, v, err)
+}
+
+// errTunnelChunk is the raw reason of a stream chunk that sniffed as
+// media but that no decoder accepts.
+var errTunnelChunk = errors.New("unclassifiable stream chunk")
+
+// classifyTunnel is classifyPayload for a chunk the stream mux queued as
+// media tunneled over a SIP-claimed stream (streamKindTunnel): the chunk
+// bypassed SIP framing, so only the ladder runs.
+func classifyTunnel(ladder classifyLadder, payload []byte, sink sipSink, v *FrameView) error {
+	return ladder.reclassify(ProtoSIP, payload, sink, v, errTunnelChunk)
+}
+
+// reclassify runs the ladder after the claimed protocol's decoder
+// rejected the payload with reason. Steps run in registry order,
+// skipping the claimed protocol (its decoder already said no); the first
+// step whose cheap confirmation AND full decode both accept the payload
+// wins, and the view carries that protocol's decoded fields with
+// PortProto recording the contradicted claim. When no step accepts, v
+// becomes the raw view and reason is returned.
+func (l classifyLadder) reclassify(claimed Protocol, payload []byte, sink sipSink, v *FrameView, reason error) error {
+	for _, step := range l {
+		if step.proto == claimed || !step.confirm(payload) {
+			continue
+		}
+		switch step.proto {
+		case ProtoSIP:
+			m, err := sink.parse(payload)
+			if err != nil {
+				continue
+			}
+			v.Msg = m
+		case ProtoRTP:
+			if rtp.PeekHeader(payload, &v.RTP) != nil {
+				v.RTP = rtp.HeaderView{}
+				continue
+			}
+			v.EmbeddedSIP = rtpPayloadHasSIP(payload, &v.RTP)
+		case ProtoRTCP:
+			if rtp.PeekCompound(payload, &v.RTCP) != nil {
+				v.RTCP = rtp.CompoundView{}
+				continue
+			}
+		default:
+			continue
+		}
+		v.Proto, v.PortProto = step.proto, claimed
+		return nil
+	}
+	v.Proto, v.OnPort, v.RawLen = ProtoOther, claimed, len(payload)
+	return reason
 }

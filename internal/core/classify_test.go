@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -49,8 +50,10 @@ func rtcpBytes(t *testing.T) []byte {
 
 // TestClassifyCounterPinning pins the exact classification counters for a
 // crafted frame set covering every terminal bucket, including the
-// content-confirmation reclassifications. Both distiller forms (boxed and
-// view) must account identically.
+// content-confirmation reclassifications. The serial distiller must hit
+// the pinned ledger exactly, and the sharded engine — whose router and
+// ingest lanes classify each payload before the shard's distiller does —
+// must land every shipped frame in the same per-protocol counters.
 func TestClassifyCounterPinning(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -70,57 +73,74 @@ func TestClassifyCounterPinning(t *testing.T) {
 		Frames: 7, SIP: 1, Raw: 1, Ignored: 1, DecodeError: 1, Mismatched: 3,
 	}
 
-	run := func(t *testing.T, distill func(d *Distiller, at time.Duration, frame []byte)) DistillerStats {
-		d := NewDistiller()
+	feed := func(handle func(at time.Duration, frame []byte)) {
 		for i, c := range cases {
 			for _, frame := range frameFor(t, c.srcPort, c.dstPort, c.payload, 0) {
-				distill(d, time.Duration(i)*time.Millisecond, frame)
+				handle(time.Duration(i)*time.Millisecond, frame)
 			}
 		}
-		distill(d, time.Second, []byte{0x01, 0x02}) // decode error
-		return d.Stats()
+		handle(time.Second, []byte{0x01, 0x02}) // decode error
 	}
 
-	boxed := run(t, func(d *Distiller, at time.Duration, frame []byte) { d.Distill(at, frame) })
+	d := NewDistiller()
 	var v FrameView
-	viewed := run(t, func(d *Distiller, at time.Duration, frame []byte) { d.DistillView(at, frame, &v) })
+	feed(func(at time.Duration, frame []byte) { d.DistillView(at, frame, &v) })
+	if got := d.Stats(); got != want {
+		t.Errorf("serial stats = %+v, want %+v", got, want)
+	}
+	checkLedger(t, d.Stats())
 
-	if boxed != want {
-		t.Errorf("boxed stats = %+v, want %+v", boxed, want)
+	// Shards see only the frames the router shipped, so the router-side
+	// drops (Ignored, DecodeError) never reach a shard's distiller; the
+	// classification counters must match the serial ones exactly.
+	for _, geo := range []struct{ shards, ingest int }{{1, 1}, {2, 2}} {
+		t.Run(fmt.Sprintf("shards=%d/ingest=%d", geo.shards, geo.ingest), func(t *testing.T) {
+			eng := NewShardedEngine(Config{IngestRouters: geo.ingest}, geo.shards)
+			defer eng.Close()
+			feed(eng.HandleFrame)
+			eng.Flush()
+			got := eng.DistillerStats()
+			classified := func(st DistillerStats) [6]int {
+				return [6]int{st.SIP, st.RTP, st.RTCP, st.Acct, st.Raw, st.Mismatched}
+			}
+			if classified(got) != classified(want) {
+				t.Errorf("sharded SIP/RTP/RTCP/Acct/Raw/Mismatched = %v, want %v (stats %+v)",
+					classified(got), classified(want), got)
+			}
+		})
 	}
-	if viewed != boxed {
-		t.Errorf("view stats = %+v, boxed %+v", viewed, boxed)
-	}
-	checkLedger(t, boxed)
 }
 
-// TestReclassifiedFootprintShape pins what a reclassified frame looks
-// like downstream: the footprint carries the content protocol's decoded
-// fields with PortProto recording the contradicted port claim.
+// TestReclassifiedFootprintShape pins what a reclassified frame looks like
+// downstream: the view carries the content protocol's decoded fields
+// with PortProto recording the contradicted port claim.
 func TestReclassifiedFootprintShape(t *testing.T) {
 	d := NewDistiller()
-	fp := d.Distill(time.Second, frameFor(t, 5060, 5060, rtpBytes(t), 0)[0])
-	rf, ok := fp.(*RTPFootprint)
-	if !ok {
-		t.Fatalf("footprint = %T, want *RTPFootprint", fp)
+	var v FrameView
+	if !d.DistillView(time.Second, frameFor(t, 5060, 5060, rtpBytes(t), 0)[0], &v) {
+		t.Fatal("no footprint for RTP on the SIP port")
 	}
-	if rf.PortProto != ProtoSIP {
-		t.Errorf("PortProto = %v, want ProtoSIP", rf.PortProto)
+	if v.Proto != ProtoRTP {
+		t.Fatalf("Proto = %v, want ProtoRTP", v.Proto)
 	}
-	if rf.Header.SSRC != 0xC0FFEE01 {
-		t.Errorf("SSRC = %#x; reclassified decode lost the header", rf.Header.SSRC)
+	if v.PortProto != ProtoSIP {
+		t.Errorf("PortProto = %v, want ProtoSIP", v.PortProto)
+	}
+	if v.RTP.SSRC != 0xC0FFEE01 {
+		t.Errorf("SSRC = %#x; reclassified decode lost the header", v.RTP.SSRC)
 	}
 
-	fp = d.Distill(2*time.Second, frameFor(t, 40666, 40000, sipBytes(t), 0)[0])
-	sf, ok := fp.(*SIPFootprint)
-	if !ok {
-		t.Fatalf("footprint = %T, want *SIPFootprint", fp)
+	if !d.DistillView(2*time.Second, frameFor(t, 40666, 40000, sipBytes(t), 0)[0], &v) {
+		t.Fatal("no footprint for SIP on the RTP port")
 	}
-	if sf.PortProto != ProtoRTP {
-		t.Errorf("PortProto = %v, want ProtoRTP", sf.PortProto)
+	if v.Proto != ProtoSIP {
+		t.Fatalf("Proto = %v, want ProtoSIP", v.Proto)
 	}
-	if sf.Msg.CallID() != "dist@test" {
-		t.Errorf("Call-ID = %q; reclassified parse lost the message", sf.Msg.CallID())
+	if v.PortProto != ProtoRTP {
+		t.Errorf("PortProto = %v, want ProtoRTP", v.PortProto)
+	}
+	if v.Msg.CallID() != "dist@test" {
+		t.Errorf("Call-ID = %q; reclassified parse lost the message", v.Msg.CallID())
 	}
 }
 
@@ -133,9 +153,10 @@ func TestReclassifySkipsClaimedProtocol(t *testing.T) {
 	// on the SIP port the ladder must skip the SIP rung, find no other
 	// protocol, and account the frame Raw.
 	broken := []byte("INVITE sip:x@y SIP/2.0\r\n")
-	fp := d.Distill(time.Second, frameFor(t, 5060, 5060, broken, 0)[0])
-	if _, ok := fp.(*RawFootprint); !ok {
-		t.Fatalf("footprint = %T, want *RawFootprint", fp)
+	var v FrameView
+	d.DistillView(time.Second, frameFor(t, 5060, 5060, broken, 0)[0], &v)
+	if v.Proto != ProtoOther || v.OnPort != ProtoSIP {
+		t.Fatalf("view = %v on %v, want a raw view on the SIP port", v.Proto, v.OnPort)
 	}
 	st := d.Stats()
 	if st.Raw != 1 || st.Mismatched != 0 {
@@ -150,11 +171,12 @@ func TestReclassifySkipsClaimedProtocol(t *testing.T) {
 func TestTortureCorpusLedger(t *testing.T) {
 	corpus := sip.TortureCorpus()
 	d := NewDistiller()
+	var v FrameView
 	frames := 0
 	for i, e := range corpus {
 		for _, ports := range []struct{ src, dst uint16 }{{5060, 5060}, {40666, 40000}} {
 			for _, frame := range frameFor(t, ports.src, ports.dst, e.Raw, 0) {
-				d.Distill(time.Duration(i)*time.Millisecond, frame)
+				d.DistillView(time.Duration(i)*time.Millisecond, frame, &v)
 				frames++
 			}
 		}

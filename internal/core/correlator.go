@@ -173,6 +173,35 @@ type sipRouteKeyer interface {
 	sipRouteKey(m *sip.Message, out sipOutcome, src netip.AddrPort) (string, bool)
 }
 
+// pinRouteKey returns a dialog's sticky routing key, pinning it in
+// sticky on the dialog's first sighting. A dialog first sighted on a
+// stream (flowKey != "") pins the flow's routing key: every message of
+// the stream already routes there, so flow affinity wins and the
+// dialog's media and accounting follow the stream's shard. Otherwise the
+// first sipRouteKeyer claim wins, else the Call-ID. The sharded router
+// pins through this, and the serial generator mirrors the same pins so
+// its portable checkpoints restore at any shard count.
+func pinRouteKey(sticky map[string]string, correlators []Correlator, callID string, m *sip.Message, out sipOutcome, src netip.AddrPort, flowKey string) string {
+	if key, ok := sticky[callID]; ok {
+		return key
+	}
+	key := callID
+	if flowKey != "" {
+		key = flowKey
+	} else {
+		for _, c := range correlators {
+			if rk, ok := c.(sipRouteKeyer); ok {
+				if k, claimed := rk.sipRouteKey(m, out, src); claimed {
+					key = k
+					break
+				}
+			}
+		}
+	}
+	sticky[callID] = key
+	return key
+}
+
 // sipHinter correlators compute a per-frame verdict for a SIP message at
 // the router, in global arrival order, against router-owned state; the
 // owning shard's correlator instance consumes the verdict from RouteHints

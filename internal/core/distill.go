@@ -6,9 +6,7 @@ import (
 	"strconv"
 	"time"
 
-	"scidive/internal/accounting"
 	"scidive/internal/packet"
-	"scidive/internal/rtp"
 	"scidive/internal/sip"
 )
 
@@ -49,13 +47,13 @@ type Distiller struct {
 	// its intern table warm across every message the pipeline sees.
 	parser *sip.Parser
 
-	// frags buffers the raw frames of in-progress fragment groups on the
-	// same lifetime the sharded router keeps (sharded.go routeLocked), so
-	// a serial-written portable checkpoint carries everything a sharded
-	// restore needs to ship completed groups to their shards. nil on
-	// standalone and shard-local distillers (only the serial engine's own
-	// distiller mirrors; shards receive already-grouped frames).
-	frags map[fragIdent]*fragGroup
+	// frags mirrors in-progress fragment groups exactly as the sharded
+	// router does, so a serial-written portable checkpoint carries
+	// everything a sharded restore needs to ship completed groups to
+	// their shards. nil on standalone and shard-local distillers (only the
+	// serial engine's own distiller mirrors; shards receive
+	// already-grouped frames).
+	frags fragMirror
 
 	// streams is the stream-transport demux (TCP reassembly + SIP message
 	// framing). Datagram transports yield one message per payload through
@@ -97,20 +95,10 @@ func NewDistillerFor(correlators []Correlator) *Distiller {
 // Stats returns a snapshot of the distiller counters.
 func (d *Distiller) Stats() DistillerStats { return d.stats }
 
-// pruneFrags drops mirrored fragment groups on the reassembler's expiry
-// schedule (see the frags field doc).
-func (d *Distiller) pruneFrags(now time.Duration) {
-	for k, grp := range d.frags {
-		if now-grp.first > packet.DefaultReassemblyTimeout {
-			delete(d.frags, k)
-		}
-	}
-}
-
-// decodeUDP runs the protocol-independent prelude shared by Distill and
-// DistillView: Ethernet, IPv4, reassembly, and zero-copy UDP validation.
-// It returns ok=false (with stats counted) when the frame produces no
-// footprint, and otherwise the claimed protocol and UDP payload.
+// decodeUDP runs the protocol-independent prelude of DistillView:
+// Ethernet, IPv4, reassembly, and zero-copy UDP validation. It returns
+// ok=false (with stats counted) when the frame produces no footprint,
+// and otherwise the claimed protocol and UDP payload.
 func (d *Distiller) decodeUDP(at time.Duration, frame []byte) (proto Protocol, src, dst netip.AddrPort, payload []byte, ok bool) {
 	d.stats.Frames++
 	ef, err := packet.UnmarshalEthernet(frame)
@@ -123,70 +111,40 @@ func (d *Distiller) decodeUDP(at time.Duration, frame []byte) (proto Protocol, s
 		d.stats.DecodeError++
 		return 0, src, dst, nil, false
 	}
-	// Frame-group mirror (serial engine only, d.frags != nil): keep the
-	// raw frames of in-progress fragment streams on the reassembler's
-	// lifetime, exactly as the sharded router does in routeLocked, so a
-	// portable checkpoint written here restores losslessly at any shard
-	// count. Prune on the reassembler's expiry clock before Insert so the
-	// two can never disagree about which stream a fragment belongs to.
-	var fragmented bool
-	var fkey fragIdent
-	if d.frags != nil {
-		d.pruneFrags(at)
-		fragmented = iph.FragOffset != 0 || iph.MoreFragments()
-		fkey = fragIdent{src: iph.Src, dst: iph.Dst, proto: iph.Protocol, id: iph.ID}
+	if d.frags != nil && (iph.FragOffset != 0 || iph.MoreFragments()) {
+		// The mirror retains fragments, and capture.Replay (like other
+		// feeders) reuses the frame buffer after this call returns.
+		frame = append([]byte(nil), frame...)
 	}
-	full, ipBody, done, err := d.reasm.Insert(iph, ipPayload, at)
+	ipBody, _, done, err := d.frags.insert(d.reasm, &iph, ipPayload, at, frame)
 	if err != nil {
-		if d.frags != nil {
-			// The reassembler creates its buffer before the oversize check
-			// but after the alignment check; mirror that so group lifetimes
-			// track buffer lifetimes exactly.
-			alignErr := iph.FragOffset != 0 && len(ipPayload)%8 != 0 && iph.MoreFragments()
-			if fragmented && !alignErr && d.frags[fkey] == nil {
-				d.frags[fkey] = &fragGroup{first: at}
-			}
-		}
 		d.stats.DecodeError++
 		return 0, src, dst, nil, false
 	}
 	if !done {
-		if d.frags != nil {
-			grp := d.frags[fkey]
-			if grp == nil {
-				grp = &fragGroup{first: at}
-				d.frags[fkey] = grp
-			}
-			// Copy: capture.Replay (and other feeders) may reuse the frame
-			// buffer after this call returns.
-			grp.frames = append(grp.frames, routedFrame{at: at, frame: append([]byte(nil), frame...)})
-		}
 		d.stats.Fragments++
 		return 0, src, dst, nil, false
 	}
-	if d.frags != nil && fragmented {
-		delete(d.frags, fkey)
-	}
-	if full.Protocol == packet.ProtoTCP {
-		d.streamFrame(at, full.Src, full.Dst, ipBody)
+	if iph.Protocol == packet.ProtoTCP {
+		d.streamFrame(at, iph.Src, iph.Dst, ipBody)
 		return 0, src, dst, nil, false
 	}
-	if full.Protocol != packet.ProtoUDP {
+	if iph.Protocol != packet.ProtoUDP {
 		d.stats.Ignored++
 		return 0, src, dst, nil, false
 	}
-	uh, udpPayload, err := packet.PeekUDP(full.Src, full.Dst, ipBody)
+	uh, udpPayload, err := packet.PeekUDP(iph.Src, iph.Dst, ipBody)
 	if err != nil {
 		d.stats.DecodeError++
 		return 0, src, dst, nil, false
 	}
 	proto, claimed := claimPortOf(d.claimers, uh.SrcPort, uh.DstPort)
-	if !claimed {
+	if !claimed || !decodable(proto) {
 		d.stats.Ignored++
 		return 0, src, dst, nil, false
 	}
-	src = netip.AddrPortFrom(full.Src, uh.SrcPort)
-	dst = netip.AddrPortFrom(full.Dst, uh.DstPort)
+	src = netip.AddrPortFrom(iph.Src, uh.SrcPort)
+	dst = netip.AddrPortFrom(iph.Dst, uh.DstPort)
 	return proto, src, dst, udpPayload, true
 }
 
@@ -235,72 +193,29 @@ func (d *Distiller) NextStreamMessage(v *FrameView) bool {
 // distillStreamMessage fills v from one stream-extracted message. Shared
 // by the serial drain above and the shard-side processing of
 // router-shipped messages (both must count stats exactly as the datagram
-// path does). Framed SIP messages that fail to parse run the same
-// content-confirmation ladder as datagrams; tunnel chunks (media content
-// sniffed on the SIP-claimed stream) reuse the ladder with SIP as the
-// contradicted claim.
+// path does). Framed messages go through the shared classifier as
+// SIP-claimed payloads; tunnel chunks (media content sniffed on the
+// SIP-claimed stream) skip the SIP decoder and run only the ladder.
 func (d *Distiller) distillStreamMessage(at time.Duration, src, dst netip.AddrPort, payload []byte, kind streamKind, v *FrameView) {
 	d.stats.StreamMsgs++
 	v.reset()
 	v.At, v.Src, v.Dst = at, src, dst
 	v.StreamKey = streamFlowKey(src, dst)
+	sink := sipSink{parser: d.parser}
 	if kind == streamKindTunnel {
-		if d.reclassifyView(ProtoSIP, payload, v) {
-			return
-		}
-		// Unreachable when the queueing sniff and this decode see the
-		// same bytes; kept so a divergence degrades to a raw footprint
-		// instead of a dropped frame.
-		d.stats.Raw++
-		v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoSIP, "unclassifiable stream chunk", len(payload)
+		d.count(v, classifyTunnel(d.ladder, payload, sink, v))
 		return
 	}
-	m, err := d.parser.Parse(payload)
-	if err != nil {
-		if d.reclassifyView(ProtoSIP, payload, v) {
-			return
-		}
-		d.stats.Raw++
-		v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoSIP, err.Error(), len(payload)
-		return
-	}
-	d.stats.SIP++
-	v.Proto, v.Msg, v.Malformed = ProtoSIP, m, CheckSIPFormat(m)
+	d.count(v, classifyPayload(d.ladder, ProtoSIP, payload, sink, v))
 }
 
-// Distill processes one frame observed at the given virtual time. It
-// returns the footprint extracted from the frame, or nil when the frame
-// is a non-final fragment, undecodable below UDP, or outside the
-// monitored ports. This is the boxed (allocating) form; the detection
-// engines use DistillView.
-func (d *Distiller) Distill(at time.Duration, frame []byte) Footprint {
-	proto, src, dst, payload, ok := d.decodeUDP(at, frame)
-	if !ok {
-		return nil
-	}
-	base := FootprintBase{At: at, Src: src, Dst: dst}
-	switch proto {
-	case ProtoSIP:
-		return d.distillSIP(base, payload)
-	case ProtoAccounting:
-		return d.distillAcct(base, payload)
-	case ProtoRTP:
-		return d.distillRTP(base, payload)
-	case ProtoRTCP:
-		return d.distillRTCP(base, payload)
-	default:
-		d.stats.Ignored++
-		return nil
-	}
-}
-
-// DistillView is Distill's zero-allocation form: it fills the
-// caller-owned view in place and reports whether the frame produced a
-// footprint. Media frames (RTP/RTCP) are projected through the rtp
-// package's peek decoders and never materialize packet structs; SIP
-// frames still allocate one Message (trails retain it — the documented
-// per-SIP-frame budget). Classification, validation and stats agree with
-// Distill bit for bit.
+// DistillView decodes one frame observed at the given virtual time into
+// the caller-owned view, reporting whether the frame produced a
+// footprint (false for non-final fragments, frames undecodable below
+// UDP, and traffic outside the monitored ports). Media frames (RTP/RTCP)
+// are projected through the rtp package's peek decoders and never
+// materialize packet structs; SIP frames allocate one Message (trails
+// retain it — the documented per-SIP-frame budget).
 func (d *Distiller) DistillView(at time.Duration, frame []byte, v *FrameView) bool {
 	v.reset()
 	proto, src, dst, payload, ok := d.decodeUDP(at, frame)
@@ -308,175 +223,32 @@ func (d *Distiller) DistillView(at time.Duration, frame []byte, v *FrameView) bo
 		return false
 	}
 	v.At, v.Src, v.Dst = at, src, dst
-	switch proto {
-	case ProtoSIP:
-		m, err := d.parser.Parse(payload)
-		if err != nil {
-			if d.reclassifyView(ProtoSIP, payload, v) {
-				return true
-			}
-			d.stats.Raw++
-			v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoSIP, err.Error(), len(payload)
-			return true
-		}
+	d.count(v, classifyPayload(d.ladder, proto, payload, sipSink{parser: d.parser}, v))
+	return true
+}
+
+// count books a classified view in the ledger and finishes it: a raw
+// view records its reason, and a SIP view gets the strict format checks.
+func (d *Distiller) count(v *FrameView, rawReason error) {
+	switch {
+	case v.Proto == ProtoOther:
+		d.stats.Raw++
+		v.Reason = rawReason.Error()
+		return
+	case v.PortProto != 0:
+		d.stats.Mismatched++
+	case v.Proto == ProtoSIP:
 		d.stats.SIP++
-		v.Proto, v.Msg, v.Malformed = ProtoSIP, m, CheckSIPFormat(m)
-		return true
-	case ProtoAccounting:
-		txn, err := accounting.ParseTxn(payload)
-		if err != nil {
-			if d.reclassifyView(ProtoAccounting, payload, v) {
-				return true
-			}
-			d.stats.Raw++
-			v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoAccounting, err.Error(), len(payload)
-			return true
-		}
-		d.stats.Acct++
-		v.Proto, v.Txn = ProtoAccounting, txn
-		return true
-	case ProtoRTP:
-		if err := rtp.PeekHeader(payload, &v.RTP); err != nil {
-			v.RTP = rtp.HeaderView{}
-			if d.reclassifyView(ProtoRTP, payload, v) {
-				return true
-			}
-			d.stats.Raw++
-			v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoRTP, err.Error(), len(payload)
-			return true
-		}
+	case v.Proto == ProtoRTP:
 		d.stats.RTP++
-		v.Proto = ProtoRTP
-		v.EmbeddedSIP = rtpPayloadHasSIP(payload, &v.RTP)
-		return true
-	case ProtoRTCP:
-		if err := rtp.PeekCompound(payload, &v.RTCP); err != nil {
-			v.RTCP = rtp.CompoundView{}
-			if d.reclassifyView(ProtoRTCP, payload, v) {
-				return true
-			}
-			d.stats.Raw++
-			v.Proto, v.OnPort, v.Reason, v.RawLen = ProtoOther, ProtoRTCP, err.Error(), len(payload)
-			return true
-		}
+	case v.Proto == ProtoRTCP:
 		d.stats.RTCP++
-		v.Proto = ProtoRTCP
-		return true
-	default:
-		d.stats.Ignored++
-		return false
+	case v.Proto == ProtoAccounting:
+		d.stats.Acct++
 	}
-}
-
-// reclassifyView runs the content-confirmation ladder after the claimed
-// protocol's decoder rejected the payload. Ladder steps run in registry
-// order, skipping the claimed protocol (its decoder already said no);
-// the first step whose cheap confirmation AND full decode both accept
-// the payload wins. On success the view carries the content protocol's
-// decoded fields with PortProto recording the contradicted claim, and
-// the frame counts as Mismatched. On failure the view is untouched and
-// the caller falls through to the raw path — so traffic that reclassifies
-// under no protocol is accounted exactly as before the ladder existed.
-func (d *Distiller) reclassifyView(claimed Protocol, payload []byte, v *FrameView) bool {
-	for _, step := range d.ladder {
-		if step.proto == claimed || !step.confirm(payload) {
-			continue
-		}
-		switch step.proto {
-		case ProtoSIP:
-			m, err := d.parser.Parse(payload)
-			if err != nil {
-				continue
-			}
-			d.stats.Mismatched++
-			v.Proto, v.PortProto = ProtoSIP, claimed
-			v.Msg, v.Malformed = m, CheckSIPFormat(m)
-			return true
-		case ProtoRTP:
-			if rtp.PeekHeader(payload, &v.RTP) != nil {
-				v.RTP = rtp.HeaderView{}
-				continue
-			}
-			d.stats.Mismatched++
-			v.Proto, v.PortProto = ProtoRTP, claimed
-			v.EmbeddedSIP = rtpPayloadHasSIP(payload, &v.RTP)
-			return true
-		case ProtoRTCP:
-			if rtp.PeekCompound(payload, &v.RTCP) != nil {
-				v.RTCP = rtp.CompoundView{}
-				continue
-			}
-			d.stats.Mismatched++
-			v.Proto, v.PortProto = ProtoRTCP, claimed
-			return true
-		}
+	if v.Proto == ProtoSIP {
+		v.Malformed = CheckSIPFormat(v.Msg)
 	}
-	return false
-}
-
-func (d *Distiller) distillSIP(base FootprintBase, payload []byte) Footprint {
-	m, err := d.parser.Parse(payload)
-	if err != nil {
-		if f, ok := d.reclassifyBoxed(base, ProtoSIP, payload); ok {
-			return f
-		}
-		d.stats.Raw++
-		return &RawFootprint{FootprintBase: base, OnPort: ProtoSIP, Reason: err.Error(), Len: len(payload)}
-	}
-	d.stats.SIP++
-	return &SIPFootprint{FootprintBase: base, Msg: m, Malformed: CheckSIPFormat(m)}
-}
-
-func (d *Distiller) distillAcct(base FootprintBase, payload []byte) Footprint {
-	txn, err := accounting.ParseTxn(payload)
-	if err != nil {
-		if f, ok := d.reclassifyBoxed(base, ProtoAccounting, payload); ok {
-			return f
-		}
-		d.stats.Raw++
-		return &RawFootprint{FootprintBase: base, OnPort: ProtoAccounting, Reason: err.Error(), Len: len(payload)}
-	}
-	d.stats.Acct++
-	return &AcctFootprint{FootprintBase: base, Txn: txn}
-}
-
-func (d *Distiller) distillRTP(base FootprintBase, payload []byte) Footprint {
-	p, err := rtp.Unmarshal(payload)
-	if err != nil {
-		if f, ok := d.reclassifyBoxed(base, ProtoRTP, payload); ok {
-			return f
-		}
-		d.stats.Raw++
-		return &RawFootprint{FootprintBase: base, OnPort: ProtoRTP, Reason: err.Error(), Len: len(payload)}
-	}
-	d.stats.RTP++
-	embedded := !p.Header.Extension && len(p.Payload) > 0 && sniffSIPStart(p.Payload)
-	return &RTPFootprint{FootprintBase: base, Header: p.Header, PayloadLen: len(p.Payload), EmbeddedSIP: embedded}
-}
-
-func (d *Distiller) distillRTCP(base FootprintBase, payload []byte) Footprint {
-	pkts, err := rtp.UnmarshalCompound(payload)
-	if err != nil {
-		if f, ok := d.reclassifyBoxed(base, ProtoRTCP, payload); ok {
-			return f
-		}
-		d.stats.Raw++
-		return &RawFootprint{FootprintBase: base, OnPort: ProtoRTCP, Reason: err.Error(), Len: len(payload)}
-	}
-	d.stats.RTCP++
-	return &RTCPFootprint{FootprintBase: base, Packets: pkts}
-}
-
-// reclassifyBoxed is reclassifyView's boxed-footprint form, used by the
-// allocating Distill path so both forms classify — and count — every
-// payload identically.
-func (d *Distiller) reclassifyBoxed(base FootprintBase, claimed Protocol, payload []byte) (Footprint, bool) {
-	var v FrameView
-	if !d.reclassifyView(claimed, payload, &v) {
-		return nil, false
-	}
-	v.At, v.Src, v.Dst = base.At, base.Src, base.Dst
-	return v.box(), true
 }
 
 // CheckSIPFormat applies the strict well-formedness checks the IDS uses

@@ -141,10 +141,8 @@ func NewEngine(cfg Config, opts ...EngineOption) *Engine {
 	// so its portable checkpoints restore at any shard count. Shard-local
 	// engines (newShardEngine) nil both — the router owns that state.
 	e.gen.sticky = make(map[string]string)
-	e.distiller.frags = make(map[fragIdent]*fragGroup)
-	e.distiller.reasm.OnEvict(func(id packet.FragID) {
-		delete(e.distiller.frags, fragIdent{src: id.Src, dst: id.Dst, proto: id.Proto, id: id.ID})
-	})
+	e.distiller.frags = make(fragMirror)
+	e.distiller.reasm.OnEvict(func(id packet.FragID) { e.distiller.frags.evict(id) })
 	// Stream-transport demux (serial engine only, like sticky/frags above:
 	// the sharded router owns the only mux at shard counts > 0). Capacity
 	// evictions lose mid-message reassembly state, so each raises an

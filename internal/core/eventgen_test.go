@@ -25,19 +25,22 @@ func newGen() *EventGenerator {
 	return NewEventGenerator(GenConfig{}, NewTrailStore(0))
 }
 
-// sipFp builds a SIP footprint.
-func sipFp(t *testing.T, at time.Duration, src, dst netip.AddrPort, m *sip.Message) *SIPFootprint {
+// process runs one view through the generator, returning its events.
+func process(g *EventGenerator, v *FrameView) []Event {
+	var events []Event
+	g.ProcessView(v, RouteHints{}, &events)
+	return events
+}
+
+// sipFp builds a SIP footprint view.
+func sipFp(t *testing.T, at time.Duration, src, dst netip.AddrPort, m *sip.Message) *FrameView {
 	t.Helper()
 	// Round-trip for realism (and Content-Length correctness).
 	parsed, err := sip.ParseMessage(m.Marshal())
 	if err != nil {
 		t.Fatalf("synthetic message invalid: %v", err)
 	}
-	return &SIPFootprint{
-		FootprintBase: FootprintBase{At: at, Src: src, Dst: dst},
-		Msg:           parsed,
-		Malformed:     CheckSIPFormat(parsed),
-	}
+	return &FrameView{Proto: ProtoSIP, At: at, Src: src, Dst: dst, Msg: parsed, Malformed: CheckSIPFormat(parsed)}
 }
 
 // egInvite builds a dialog-forming INVITE with SDP at callerMedia.
@@ -74,8 +77,8 @@ func eg200(t *testing.T, invite *sip.Message) *sip.Message {
 func establish(t *testing.T, g *EventGenerator, callID string) {
 	t.Helper()
 	inv := egInvite(t, callID)
-	g.Process(sipFp(t, 0, egCaller, egCallee, inv))
-	events := g.Process(sipFp(t, 10*time.Millisecond, egCallee, egCaller, eg200(t, inv)))
+	process(g, sipFp(t, 0, egCaller, egCallee, inv))
+	events := process(g, sipFp(t, 10*time.Millisecond, egCallee, egCaller, eg200(t, inv)))
 	found := false
 	for _, e := range events {
 		if e.Type == EvSIPCallEstablished {
@@ -87,13 +90,10 @@ func establish(t *testing.T, g *EventGenerator, callID string) {
 	}
 }
 
-// rtpAt builds an RTP footprint.
-func rtpAt(at time.Duration, src, dst netip.AddrPort, seq uint16) *RTPFootprint {
-	return &RTPFootprint{
-		FootprintBase: FootprintBase{At: at, Src: src, Dst: dst},
-		Header:        rtp.Header{Seq: seq, SSRC: 7},
-		PayloadLen:    160,
-	}
+// rtpAt builds an RTP footprint view.
+func rtpAt(at time.Duration, src, dst netip.AddrPort, seq uint16) *FrameView {
+	return &FrameView{Proto: ProtoRTP, At: at, Src: src, Dst: dst,
+		RTP: rtp.HeaderView{Seq: seq, SSRC: 7, PayloadLen: 160}}
 }
 
 func eventsOf(events []Event, typ EventType) []Event {
@@ -109,11 +109,11 @@ func eventsOf(events []Event, typ EventType) []Event {
 func TestGenEstablishmentEvents(t *testing.T) {
 	g := newGen()
 	inv := egInvite(t, "c1")
-	ev1 := g.Process(sipFp(t, 0, egCaller, egCallee, inv))
+	ev1 := process(g, sipFp(t, 0, egCaller, egCallee, inv))
 	if len(eventsOf(ev1, EvSIPInvite)) != 1 {
 		t.Errorf("INVITE events = %v", ev1)
 	}
-	ev2 := g.Process(sipFp(t, time.Millisecond, egCallee, egCaller, eg200(t, inv)))
+	ev2 := process(g, sipFp(t, time.Millisecond, egCallee, egCaller, eg200(t, inv)))
 	if len(eventsOf(ev2, EvSIPCallEstablished)) != 1 {
 		t.Errorf("200 events = %v", ev2)
 	}
@@ -123,7 +123,7 @@ func TestGenOrphanAfterByeWindow(t *testing.T) {
 	g := newGen()
 	establish(t, g, "c1")
 	// Media flows normally.
-	if ev := g.Process(rtpAt(100*time.Millisecond, egBMedia, egCMedia, 1)); len(eventsOf(ev, EvRTPAfterBye)) != 0 {
+	if ev := process(g, rtpAt(100*time.Millisecond, egBMedia, egCMedia, 1)); len(eventsOf(ev, EvRTPAfterBye)) != 0 {
 		t.Errorf("benign RTP flagged: %v", ev)
 	}
 	// BYE from bob (callee).
@@ -133,22 +133,22 @@ func TestGenOrphanAfterByeWindow(t *testing.T) {
 		CallID: "c1", CSeq: sip.CSeq{Seq: 2, Method: sip.MethodBye},
 		Via: sip.Via{Transport: "UDP", SentBy: "10.0.0.2:5060", Params: map[string]string{"branch": sip.MagicBranchPrefix + "bye"}},
 	})
-	ev := g.Process(sipFp(t, 200*time.Millisecond, egCallee, egCaller, bye))
+	ev := process(g, sipFp(t, 200*time.Millisecond, egCallee, egCaller, bye))
 	if len(eventsOf(ev, EvSIPBye)) != 1 {
 		t.Fatalf("BYE events = %v", ev)
 	}
 	// Orphan RTP from bob inside the window.
-	ev = g.Process(rtpAt(250*time.Millisecond, egBMedia, egCMedia, 2))
+	ev = process(g, rtpAt(250*time.Millisecond, egBMedia, egCMedia, 2))
 	if len(eventsOf(ev, EvRTPAfterBye)) != 1 {
 		t.Errorf("orphan not flagged: %v", ev)
 	}
 	// RTP from alice's side is not the orphan.
-	ev = g.Process(rtpAt(260*time.Millisecond, egCMedia, egBMedia, 50))
+	ev = process(g, rtpAt(260*time.Millisecond, egCMedia, egBMedia, 50))
 	if len(eventsOf(ev, EvRTPAfterBye)) != 0 {
 		t.Errorf("wrong side flagged: %v", ev)
 	}
 	// Past the (default 1s) window: silence.
-	ev = g.Process(rtpAt(1500*time.Millisecond, egBMedia, egCMedia, 3))
+	ev = process(g, rtpAt(1500*time.Millisecond, egBMedia, egCMedia, 3))
 	if len(eventsOf(ev, EvRTPAfterBye)) != 0 {
 		t.Errorf("orphan flagged outside window: %v", ev)
 	}
@@ -157,13 +157,13 @@ func TestGenOrphanAfterByeWindow(t *testing.T) {
 func TestGenSeqJumpThreshold(t *testing.T) {
 	g := NewEventGenerator(GenConfig{SeqJumpThreshold: 100}, NewTrailStore(0))
 	establish(t, g, "c1")
-	g.Process(rtpAt(100*time.Millisecond, egBMedia, egCMedia, 1000))
+	process(g, rtpAt(100*time.Millisecond, egBMedia, egCMedia, 1000))
 	// Delta 100 = threshold: not flagged (must exceed).
-	if ev := g.Process(rtpAt(120*time.Millisecond, egBMedia, egCMedia, 1100)); len(eventsOf(ev, EvRTPSeqJump)) != 0 {
+	if ev := process(g, rtpAt(120*time.Millisecond, egBMedia, egCMedia, 1100)); len(eventsOf(ev, EvRTPSeqJump)) != 0 {
 		t.Errorf("delta==threshold flagged: %v", ev)
 	}
 	// Delta 101: flagged.
-	if ev := g.Process(rtpAt(140*time.Millisecond, egBMedia, egCMedia, 1201)); len(eventsOf(ev, EvRTPSeqJump)) != 1 {
+	if ev := process(g, rtpAt(140*time.Millisecond, egBMedia, egCMedia, 1201)); len(eventsOf(ev, EvRTPSeqJump)) != 1 {
 		t.Errorf("delta>threshold not flagged: %v", ev)
 	}
 }
@@ -172,13 +172,13 @@ func TestGenBadSourceOnlyForNegotiatedDst(t *testing.T) {
 	g := newGen()
 	establish(t, g, "c1")
 	// Packet to alice's media from a third party.
-	ev := g.Process(rtpAt(100*time.Millisecond, egEvil, egCMedia, 5))
+	ev := process(g, rtpAt(100*time.Millisecond, egEvil, egCMedia, 5))
 	if len(eventsOf(ev, EvRTPBadSource)) != 1 {
 		t.Errorf("bad source not flagged: %v", ev)
 	}
 	// Packet between unrelated endpoints: no session, no event.
 	other := netip.MustParseAddrPort("10.0.0.9:45000")
-	ev = g.Process(rtpAt(110*time.Millisecond, egEvil, other, 5))
+	ev = process(g, rtpAt(110*time.Millisecond, egEvil, other, 5))
 	if len(eventsOf(ev, EvRTPBadSource)) != 0 {
 		t.Errorf("unrelated flow flagged: %v", ev)
 	}
@@ -196,14 +196,14 @@ func TestGenAcctUnmatchedVariants(t *testing.T) {
 		})
 		contact, _ := sip.ParseAddress("<sip:alice@10.0.0.1:5060>")
 		regReq.Headers.Add(sip.HdrContact, contact.String())
-		g.Process(sipFp(t, 0, egCaller, egCallee, regReq))
+		process(g, sipFp(t, 0, egCaller, egCallee, regReq))
 		ok := sip.NewResponse(regReq, sip.StatusOK, "")
 		ok.Headers.Add(sip.HdrContact, contact.String())
-		g.Process(sipFp(t, time.Millisecond, egCallee, egCaller, ok))
+		process(g, sipFp(t, time.Millisecond, egCallee, egCaller, ok))
 	}
 	acct := func(g *EventGenerator, callID string, ip netip.Addr) []Event {
-		return g.Process(&AcctFootprint{
-			FootprintBase: FootprintBase{At: time.Second, Src: egCallee, Dst: netip.MustParseAddrPort("10.0.0.20:7009")},
+		return process(g, &FrameView{
+			Proto: ProtoAccounting, At: time.Second, Src: egCallee, Dst: netip.MustParseAddrPort("10.0.0.20:7009"),
 			Txn: accounting.Txn{
 				Kind: accounting.TxnStart, CallID: callID,
 				From: "alice@10.0.0.10", To: "bob@10.0.0.10", FromIP: ip,
@@ -256,10 +256,10 @@ func TestGenDuplicateByeDoesNotRearm(t *testing.T) {
 		CallID: "c1", CSeq: sip.CSeq{Seq: 2, Method: sip.MethodBye},
 		Via: sip.Via{Transport: "UDP", SentBy: "10.0.0.2:5060", Params: map[string]string{"branch": sip.MagicBranchPrefix + "byd"}},
 	})
-	ev1 := g.Process(sipFp(t, 100*time.Millisecond, egCallee, egCaller, bye))
+	ev1 := process(g, sipFp(t, 100*time.Millisecond, egCallee, egCaller, bye))
 	// The relayed copy 1ms later must not produce a second EvSIPBye nor
 	// move the monitoring window.
-	ev2 := g.Process(sipFp(t, 101*time.Millisecond, egCallee, egCaller, bye))
+	ev2 := process(g, sipFp(t, 101*time.Millisecond, egCallee, egCaller, bye))
 	if len(eventsOf(ev1, EvSIPBye)) != 1 || len(eventsOf(ev2, EvSIPBye)) != 0 {
 		t.Errorf("duplicate BYE handling: %v / %v", ev1, ev2)
 	}

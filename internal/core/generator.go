@@ -239,38 +239,20 @@ func (g *EventGenerator) ExpireSessions(now, timeout time.Duration) int {
 // any completed events to evs. This is the steady-state hot path: the
 // view, the hints and the event scratch are all caller-owned, so a frame
 // that completes no event is processed with zero heap allocations.
+// A zero RouteHints reproduces the serial engine exactly; non-zero hints
+// replace the local cross-session lookups with verdicts the sharded
+// router computed in global frame order.
 func (g *EventGenerator) ProcessView(v *FrameView, h RouteHints, evs *[]Event) {
-	g.processView(v, nil, h, evs)
-}
-
-func (g *EventGenerator) processView(v *FrameView, boxed Footprint, h RouteHints, evs *[]Event) {
-	if !g.ctx.beginFrame(v, boxed, h) {
+	if !g.ctx.beginFrame(v, h) {
 		return
 	}
 	defer g.ctx.endFrame(v.At)
 	// Routing-key mirror (serial engine only): pin the sticky key on the
-	// dialog's first sighting exactly as the sharded router does
-	// (classifySIPMsgLocked), so portable checkpoints restore to any
-	// shard count with cross-dialog state colocated.
+	// dialog's first sighting exactly as the sharded router does, so
+	// portable checkpoints restore to any shard count with cross-dialog
+	// state colocated.
 	if g.sticky != nil && v.Proto == ProtoSIP && g.ctx.sipSt != nil {
-		if _, ok := g.sticky[g.ctx.sipSt.callID]; !ok {
-			routeKey := g.ctx.sipSt.callID
-			if v.StreamKey != "" {
-				// Stream-carried message: flow affinity wins (the router
-				// routes by TCP 4-tuple, see streamFlowKey).
-				routeKey = v.StreamKey
-			} else {
-				for _, c := range g.correlators {
-					if rk, isKeyer := c.(sipRouteKeyer); isKeyer {
-						if k, claimed := rk.sipRouteKey(v.Msg, g.ctx.sipOut, v.Src); claimed {
-							routeKey = k
-							break
-						}
-					}
-				}
-			}
-			g.sticky[g.ctx.sipSt.callID] = routeKey
-		}
+		pinRouteKey(g.sticky, g.correlators, g.ctx.sipSt.callID, v.Msg, g.ctx.sipOut, v.Src, v.StreamKey)
 	}
 	p := v.dispatchProto()
 	if p < 0 || int(p) >= len(g.byProto) {
@@ -279,26 +261,6 @@ func (g *EventGenerator) processView(v *FrameView, boxed Footprint, h RouteHints
 	for _, c := range g.byProto[p] {
 		c.Process(v, h, g.ctx, evs)
 	}
-}
-
-// Process folds one boxed footprint into the trails and state, returning
-// any events it completes. Compat (allocating) form of ProcessView.
-func (g *EventGenerator) Process(f Footprint) []Event {
-	return g.ProcessHinted(f, RouteHints{})
-}
-
-// ProcessHinted is Process with router-supplied hints. A zero RouteHints
-// reproduces the serial engine exactly; non-zero hints replace the local
-// cross-session lookups with verdicts the sharded router computed in
-// global frame order.
-func (g *EventGenerator) ProcessHinted(f Footprint, h RouteHints) []Event {
-	var v FrameView
-	if !viewOf(f, &v) {
-		return nil
-	}
-	var events []Event
-	g.processView(&v, f, h, &events)
-	return events
 }
 
 // mediaFromBody extracts the audio endpoint from a message's SDP body.

@@ -3,9 +3,11 @@ package core
 // The parallel ingest front end for ShardedEngine.
 //
 // With a single router goroutine, every frame's Ethernet/IPv4/UDP decode
-// and protocol peek (SIP parse, RTP/RTCP header peek, accounting parse)
-// runs under the routing lock — the ingest bottleneck that flattens
-// shard scaling. The ingest tier splits that work in two:
+// and classification (the shared classifier of classify.go: SIP parse,
+// RTP/RTCP header peek, accounting parse, and the ladder when the port's
+// decoder rejects the payload) runs under the routing lock — the ingest
+// bottleneck that flattens shard scaling. The ingest tier splits that
+// work in two:
 //
 //	HandleFrame ──▶ feeder ──▶ lane 0 ┐
 //	               (deals 64-  lane 1 ├──▶ sequencer ──▶ shard queues
@@ -13,13 +15,19 @@ package core
 //	                blocks     lane N ┘    stateful routing)
 //	                round-robin)
 //
-//   - N decode lanes each own a SIP parser and RTP/RTCP peek scratch and
-//     run the *stateless* per-frame work — the expensive part — fully in
-//     parallel, summarizing each frame into a small digest.
+//   - N decode lanes each own a decoder (SIP parser plus view scratch)
+//     and run the *stateless* per-frame work — the expensive part —
+//     fully in parallel, reducing each frame to an ingDigest.
 //   - One sequencer consumes the digest batches in the exact order the
 //     feeder dealt them and replays only the *stateful* remainder
 //     (directory transitions, hinter verdicts, sticky-key pinning, shard
 //     handoff) under the routing lock, batch-at-a-time.
+//
+// The synchronous router is the inline case of the same path: after
+// Ethernet, IPv4 and reassembly it fills an ingDigest with its own
+// decoder and hands it to the same stateful half (shipDigestLocked).
+// The decoder is the one the distiller uses, so every site classifies a
+// payload identically by construction.
 //
 // Determinism argument: the feeder deals whole batches to lanes in strict
 // rotation while holding feedMu, so the global batch order is the arrival
@@ -33,9 +41,10 @@ package core
 // tests in ingest_diff_test.go hold every (ingesters × shards) point to
 // byte-identical output with the serial engine.
 //
-// The only work a lane performs against shared state is claimPortOf,
-// whose claimPort implementations are pure functions of the port numbers
-// (see correlator.go) — safe to call concurrently with the sequencer.
+// The only work a lane performs against shared state is claimPortOf and
+// the ladder's confirm functions, which are pure functions of the port
+// numbers and payload bytes (see correlator.go and classify.go) — safe
+// to call concurrently with the sequencer.
 //
 // Deadlock freedom: the stages form a DAG (feeder → lane.in → lane.out →
 // sequencer → shard queues) with every edge a bounded channel and no
@@ -57,7 +66,6 @@ import (
 
 	"scidive/internal/accounting"
 	"scidive/internal/packet"
-	"scidive/internal/rtp"
 	"scidive/internal/sip"
 )
 
@@ -70,7 +78,7 @@ const (
 	ingQueueDepth = 2
 )
 
-// ingDigestKind says how far a lane got with a frame, which is exactly
+// ingDigestKind says how far decoding got with a frame, which is exactly
 // what the sequencer must replay to keep the router's clocks and state
 // serial-identical.
 type ingDigestKind uint8
@@ -81,8 +89,9 @@ const (
 	// the sequencer advances nothing.
 	ingDrop ingDigestKind = iota
 	// ingClock: dropped after IPv4 decode (non-UDP protocol, bad UDP
-	// framing, or an unclaimed port). The synchronous router advanced the
-	// reassembly clocks first, so the sequencer does the same.
+	// framing, or a port no decodable protocol claims). The synchronous
+	// router advanced the reassembly clocks first, so the sequencer does
+	// the same.
 	ingClock
 	// ingFrag: an IPv4 fragment. Reassembly is stateful, so the
 	// sequencer replays the whole frame through routeLocked.
@@ -92,31 +101,88 @@ const (
 	// sequencer replays the whole frame through routeLocked like a
 	// fragment.
 	ingStream
-	// Claimed-port digests: the lane pre-decoded the protocol payload;
-	// ok records whether the parse/peek succeeded.
-	ingSIP
-	ingAcct
-	ingRTP
-	ingRTCP
+	// ingDatagram: a classified payload on a claimed port; proto and ok
+	// say what the shared classifier decoded.
+	ingDatagram
 )
 
-// ingDigest is one frame's decode summary, written in place by a lane
-// and consumed once by the sequencer.
+// ingDigest is one classified frame (or stream message) reduced to what
+// the stateful half of routing reads. Lanes write it in place for the
+// sequencer; the synchronous router fills one inline.
 type ingDigest struct {
 	kind     ingDigestKind
-	ok       bool
+	proto    Protocol // dispatch protocol: the content protocol, or the claimed one when raw
+	ok       bool     // a decoder accepted the payload (false: raw on the claimed port)
 	at       time.Duration
 	frame    []byte
 	src, dst netip.AddrPort
-	seq      uint16 // RTP sequence number (ingRTP, ok)
-	msg      int    // index into the batch's SIP message slots (ingSIP)
-	callID   string // accounting Call-ID (ingAcct, ok)
-	start    bool   // accounting START transaction (ingAcct, ok)
+	seq      uint16       // RTP sequence number
+	msg      *sip.Message // parsed SIP message (scratch owned by the decoding site)
+	callID   string       // accounting Call-ID
+	start    bool         // accounting START transaction
+}
+
+// fill records a classified view in the digest.
+func (d *ingDigest) fill(v *FrameView) {
+	d.kind, d.proto, d.ok = ingDatagram, v.Proto, v.Proto != ProtoOther
+	if !d.ok {
+		d.proto = v.OnPort
+	}
+	d.msg, d.seq = v.Msg, v.RTP.Seq
+	d.callID, d.start = v.Txn.CallID, v.Txn.Kind == accounting.TxnStart
+}
+
+// decoder is one routing site's stateless front half: the registry's
+// port claims and ladder (read-only, shared) plus private scratch — the
+// SIP sink and the view the shared classifier fills. The synchronous
+// router owns one (used under mu), and so does each ingest lane. The
+// classifier's raw reason is dropped: routing needs only the verdict.
+type decoder struct {
+	claimers []Correlator
+	ladder   classifyLadder
+	sink     sipSink
+	view     FrameView
+}
+
+// datagram fills d from a reassembled IPv4 body: UDP validation, the
+// port claim and the shared classifier. Anything that is not a UDP
+// datagram on a decodable claimed port leaves d as ingClock.
+func (dc *decoder) datagram(ipProto uint8, srcIP, dstIP netip.Addr, body []byte, d *ingDigest) {
+	d.kind = ingClock
+	if ipProto != packet.ProtoUDP {
+		return
+	}
+	uh, payload, err := packet.PeekUDP(srcIP, dstIP, body)
+	if err != nil {
+		return
+	}
+	proto, claimed := claimPortOf(dc.claimers, uh.SrcPort, uh.DstPort)
+	if !claimed || !decodable(proto) {
+		return
+	}
+	d.src = netip.AddrPortFrom(srcIP, uh.SrcPort)
+	d.dst = netip.AddrPortFrom(dstIP, uh.DstPort)
+	dc.view.reset()
+	_ = classifyPayload(dc.ladder, proto, payload, dc.sink, &dc.view)
+	d.fill(&dc.view)
+}
+
+// message fills d from one stream-extracted message: framed messages are
+// SIP-claimed payloads, tunnel chunks run the ladder alone.
+func (dc *decoder) message(sm streamMsg, d *ingDigest) {
+	*d = ingDigest{at: sm.at, src: sm.src, dst: sm.dst}
+	dc.view.reset()
+	if sm.kind == streamKindTunnel {
+		_ = classifyTunnel(dc.ladder, sm.payload, dc.sink, &dc.view)
+	} else {
+		_ = classifyPayload(dc.ladder, ProtoSIP, sm.payload, dc.sink, &dc.view)
+	}
+	d.fill(&dc.view)
 }
 
 // ingBatch carries ingBatchSize consecutive frames from the feeder
 // through one lane to the sequencer. SIP messages are parsed into the
-// batch's own slots (one per SIP frame); the parsed views alias the
+// batch's own slots (at most one per frame); the parsed views alias the
 // retained frames, which outlive the batch's trip through the sequencer.
 type ingBatch struct {
 	lane int
@@ -128,7 +194,7 @@ type ingBatch struct {
 
 // reset clears the frame references of a consumed batch before it
 // returns to the free pool. The SIP message slots keep their internal
-// buffers (that reuse is what makes lane parsing cheap), mirroring the
+// buffers (that reuse is what makes lane parsing cheap), like the
 // synchronous router's single scratch message.
 func (b *ingBatch) reset() {
 	clear(b.dig[:b.n])
@@ -142,15 +208,12 @@ type ingMsg struct {
 	marker chan struct{}
 }
 
-// ingLane is one decode worker: a goroutine with private parse scratch,
-// fed batches over in, forwarding them decoded over out.
+// ingLane is one decode worker: a goroutine with a private decoder, fed
+// batches over in, forwarding them decoded over out.
 type ingLane struct {
-	owner   *ShardedEngine
-	in      chan ingMsg
-	out     chan ingMsg
-	parser  *sip.Parser
-	rtpHdr  rtp.HeaderView
-	rtcpCmp rtp.CompoundView
+	in  chan ingMsg
+	out chan ingMsg
+	dec decoder
 
 	fed       atomic.Uint64
 	decoded   atomic.Uint64
@@ -188,10 +251,9 @@ func newIngestTier(s *ShardedEngine, n int) *ingestTier {
 	}
 	for i := range t.lanes {
 		l := &ingLane{
-			owner:  s,
-			in:     make(chan ingMsg, ingQueueDepth),
-			out:    make(chan ingMsg, ingQueueDepth),
-			parser: sip.NewParser(),
+			in:  make(chan ingMsg, ingQueueDepth),
+			out: make(chan ingMsg, ingQueueDepth),
+			dec: decoder{claimers: s.dec.claimers, ladder: s.dec.ladder, sink: sipSink{parser: sip.NewParser()}},
 		}
 		t.lanes[i] = l
 		go l.run()
@@ -304,8 +366,8 @@ func (l *ingLane) run() {
 	}
 }
 
-// decodeOne runs the stateless half of routeLocked/classifyLocked for
-// one frame: framing decode, port classification and protocol peek. Each
+// decodeOne runs the stateless half of routeLocked for one frame:
+// framing decode, then the decoder's claim and classification. Each
 // early return mirrors a drop (or clock-advance) point of the
 // synchronous path; the digest kind tells the sequencer which one.
 func (l *ingLane) decodeOne(b *ingBatch, d *ingDigest) {
@@ -319,104 +381,16 @@ func (l *ingLane) decodeOne(b *ingBatch, d *ingDigest) {
 		d.kind = ingDrop
 		return
 	}
-	if iph.FragOffset != 0 || iph.MoreFragments() {
+	switch {
+	case iph.FragOffset != 0 || iph.MoreFragments():
 		d.kind = ingFrag
-		return
-	}
-	if iph.Protocol == packet.ProtoTCP {
+	case iph.Protocol == packet.ProtoTCP:
 		d.kind = ingStream
-		return
-	}
-	if iph.Protocol != packet.ProtoUDP {
-		d.kind = ingClock
-		return
-	}
-	uh, udpPayload, err := packet.PeekUDP(iph.Src, iph.Dst, ipPayload)
-	if err != nil {
-		d.kind = ingClock
-		return
-	}
-	d.src = netip.AddrPortFrom(iph.Src, uh.SrcPort)
-	d.dst = netip.AddrPortFrom(iph.Dst, uh.DstPort)
-	proto, claimed := claimPortOf(l.owner.correlators, uh.SrcPort, uh.DstPort)
-	if !claimed {
-		d.kind = ingClock
-		return
-	}
-	switch proto {
-	case ProtoSIP:
-		d.kind = ingSIP
-		d.msg = b.nmsg
-		d.ok = l.parser.ParseInto(udpPayload, &b.msgs[b.nmsg]) == nil
-		b.nmsg++
-		if !d.ok {
-			l.reclassify(b, d, ProtoSIP, udpPayload)
-		}
-	case ProtoAccounting:
-		d.kind = ingAcct
-		txn, perr := accounting.ParseTxn(udpPayload)
-		d.ok = perr == nil
-		d.callID = txn.CallID
-		d.start = txn.Kind == accounting.TxnStart
-		if !d.ok {
-			l.reclassify(b, d, ProtoAccounting, udpPayload)
-		}
-	case ProtoRTP:
-		d.kind = ingRTP
-		d.ok = rtp.PeekHeader(udpPayload, &l.rtpHdr) == nil
-		d.seq = l.rtpHdr.Seq
-		if !d.ok {
-			l.reclassify(b, d, ProtoRTP, udpPayload)
-		}
-	case ProtoRTCP:
-		d.kind = ingRTCP
-		d.ok = rtp.PeekCompound(udpPayload, &l.rtcpCmp) == nil
-		if !d.ok {
-			l.reclassify(b, d, ProtoRTCP, udpPayload)
-		}
 	default:
-		// A claimed port with no routing rule ships nowhere — the
-		// synchronous classifyLocked returns ship=false after the clocks
-		// advanced.
-		d.kind = ingClock
-	}
-}
-
-// reclassify runs the content-confirmation ladder (classify.go) after a
-// claimed decode failed, rewriting the digest to the content protocol's
-// kind (with ok=true) when a rung's confirmation and full decode both
-// accept the payload. Like claimPortOf, the ladder is stateless — the
-// confirm functions and decoders touch only lane-owned scratch — so
-// lanes reclassify in parallel and the sequencer then routes the digest
-// exactly as the synchronous router's ladderRouteLocked would have.
-// Reclassification toward SIP consumes one of the batch's message slots,
-// like a natively claimed SIP frame (at most one slot per frame either
-// way: a failed claimed-SIP parse never reclassifies back to SIP).
-func (l *ingLane) reclassify(b *ingBatch, d *ingDigest, claimed Protocol, udpPayload []byte) {
-	for _, step := range l.owner.ladder {
-		if step.proto == claimed || !step.confirm(udpPayload) {
-			continue
-		}
-		switch step.proto {
-		case ProtoSIP:
-			if l.parser.ParseInto(udpPayload, &b.msgs[b.nmsg]) != nil {
-				continue
-			}
-			d.kind, d.ok, d.msg = ingSIP, true, b.nmsg
+		l.dec.sink.into = &b.msgs[b.nmsg]
+		l.dec.datagram(iph.Protocol, iph.Src, iph.Dst, ipPayload, d)
+		if d.msg != nil {
 			b.nmsg++
-			return
-		case ProtoRTP:
-			if rtp.PeekHeader(udpPayload, &l.rtpHdr) != nil {
-				continue
-			}
-			d.kind, d.ok, d.seq = ingRTP, true, l.rtpHdr.Seq
-			return
-		case ProtoRTCP:
-			if rtp.PeekCompound(udpPayload, &l.rtcpCmp) != nil {
-				continue
-			}
-			d.kind, d.ok = ingRTCP, true
-			return
 		}
 	}
 }
@@ -451,7 +425,7 @@ func (t *ingestTier) sequence() {
 			if s.frameIdx%gcEvery == 0 {
 				s.expireLocked(d.at)
 			}
-			s.sequenceDigestLocked(s.frameIdx, b, d)
+			s.sequenceDigestLocked(s.frameIdx, d)
 		}
 		s.mu.Unlock()
 		t.lanes[b.lane].sequenced.Add(uint64(b.n))
@@ -463,7 +437,7 @@ func (t *ingestTier) sequence() {
 // sequenceDigestLocked replays the stateful remainder of one frame's
 // routing: exactly the work routeLocked does after the point the lane's
 // digest captured.
-func (s *ShardedEngine) sequenceDigestLocked(idx uint64, b *ingBatch, d *ingDigest) {
+func (s *ShardedEngine) sequenceDigestLocked(idx uint64, d *ingDigest) {
 	switch d.kind {
 	case ingDrop:
 		return
@@ -477,27 +451,7 @@ func (s *ShardedEngine) sequenceDigestLocked(idx uint64, b *ingBatch, d *ingDige
 	// Unfragmented past IPv4 decode: the synchronous path advanced the
 	// fragment-group prune and the reassembler's expiry clock (Insert
 	// expires first, then returns unfragmented packets untouched).
-	s.pruneFragsLocked(d.at)
+	s.frags.prune(d.at)
 	s.reasm.Expire(d.at)
-	if d.kind == ingClock {
-		return
-	}
-	var routeKey string
-	var hints RouteHints
-	switch d.kind {
-	case ingSIP:
-		var m *sip.Message
-		if d.ok {
-			m = &b.msgs[d.msg]
-		}
-		routeKey, hints = s.classifySIPMsgLocked(d.at, d.src, d.dst, m)
-	case ingAcct:
-		routeKey = s.classifyAcctLocked(d.dst, d.callID, d.start, d.ok)
-	case ingRTP:
-		routeKey, hints = s.classifyRTPSeqLocked(d.at, d.src, d.dst, d.seq, d.ok)
-	case ingRTCP:
-		routeKey, hints = s.classifyRTCPFlowLocked(d.at, d.src, d.dst, d.ok)
-	}
-	shard := shardOf(s.resolveRouteLocked(routeKey), len(s.workers))
-	s.appendItemLocked(shard, shardItem{kind: itemFrame, idx: idx, at: d.at, frame: d.frame, hints: hints})
+	s.shipDigestLocked(idx, d, nil)
 }

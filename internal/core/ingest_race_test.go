@@ -6,6 +6,7 @@ package core_test
 // `go test -race -short ./internal/core/`.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -106,45 +107,50 @@ func (s slowShard) At(shard int, frame uint64) core.Fault {
 
 // TestIngestShedRace layers load shedding on top of the parallel
 // handoff: a stalling fault injector keeps shard 0 saturated so the
-// sequencer's bounded-wait shed path runs while the ingest lanes are
-// racing, and every dropped frame must still be accounted.
+// bounded-wait shed path runs while the feeders are racing, and every
+// dropped frame must still be accounted. The single-router input runs
+// the same shed path from HandleFrame itself.
 func TestIngestShedRace(t *testing.T) {
 	frames := scenarioFrames(t, "flood", 11)
-	eng := core.NewShardedEngine(core.Config{
-		IngestRouters: 4,
-		Limits:        core.Limits{ShedAfter: 20 * time.Microsecond},
-	}, 2, core.WithEventLog(), core.WithFaultInjector(slowShard{d: time.Millisecond}))
-	defer eng.Close()
+	for _, ingest := range []int{4, 1} {
+		t.Run(fmt.Sprintf("ingest=%d", ingest), func(t *testing.T) {
+			eng := core.NewShardedEngine(core.Config{
+				IngestRouters: ingest,
+				Limits:        core.Limits{ShedAfter: 20 * time.Microsecond},
+			}, 2, core.WithEventLog(), core.WithFaultInjector(slowShard{d: time.Millisecond}))
+			defer eng.Close()
 
-	var feedWG sync.WaitGroup
-	for f := 0; f < 4; f++ {
-		feedWG.Add(1)
-		go func() {
-			defer feedWG.Done()
-			for round := 0; round < 3; round++ {
-				for _, r := range frames {
-					eng.HandleFrame(r.at, r.frame)
-				}
+			var feedWG sync.WaitGroup
+			for f := 0; f < 4; f++ {
+				feedWG.Add(1)
+				go func() {
+					defer feedWG.Done()
+					for round := 0; round < 3; round++ {
+						for _, r := range frames {
+							eng.HandleFrame(r.at, r.frame)
+						}
+					}
+				}()
 			}
-		}()
-	}
-	feedWG.Wait()
-	eng.Flush()
-	st := eng.Stats()
-	var processed, shed uint64
-	for _, sh := range eng.ShardHealth() {
-		if sh.FramesRouted != sh.FramesProcessed+sh.FramesShed {
-			t.Errorf("shard %d: routed %d != processed %d + shed %d",
-				sh.Shard, sh.FramesRouted, sh.FramesProcessed, sh.FramesShed)
-		}
-		processed += sh.FramesProcessed
-		shed += sh.FramesShed
-	}
-	if shed == 0 {
-		t.Skip("no shed under this scheduling; ledger still verified")
-	}
-	if st.FramesShed != int(shed) {
-		t.Errorf("stats FramesShed %d != shard ledger %d", st.FramesShed, shed)
+			feedWG.Wait()
+			eng.Flush()
+			st := eng.Stats()
+			var processed, shed uint64
+			for _, sh := range eng.ShardHealth() {
+				if sh.FramesRouted != sh.FramesProcessed+sh.FramesShed {
+					t.Errorf("shard %d: routed %d != processed %d + shed %d",
+						sh.Shard, sh.FramesRouted, sh.FramesProcessed, sh.FramesShed)
+				}
+				processed += sh.FramesProcessed
+				shed += sh.FramesShed
+			}
+			if shed == 0 {
+				t.Skip("no shed under this scheduling; ledger still verified")
+			}
+			if st.FramesShed != int(shed) {
+				t.Errorf("stats FramesShed %d != shard ledger %d", st.FramesShed, shed)
+			}
+		})
 	}
 }
 

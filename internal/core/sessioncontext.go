@@ -41,8 +41,7 @@ type SessionContext struct {
 
 	// Per-frame scratch, valid from beginFrame to endFrame. view is the
 	// frame in flight; boxed is its Footprint materialization, filled
-	// lazily by Observation (or up front by the compat wrappers, which
-	// already hold a boxed footprint).
+	// lazily by Observation.
 	view       *FrameView
 	boxed      Footprint
 	session    string
@@ -66,13 +65,12 @@ func newSessionContext(cfg GenConfig, trails *TrailStore) *SessionContext {
 // per-frame scratch: the session key every correlator sees, and — for SIP
 // — the one-and-only applySIP application for this sighting, so dialog
 // state moves exactly once no matter how many correlators consume the
-// outcome. boxed may be nil (the hot path); Observation boxes lazily when
-// an event needs the footprint attached. It reports whether the view's
-// protocol is known.
-func (ctx *SessionContext) beginFrame(v *FrameView, boxed Footprint, h RouteHints) bool {
+// outcome. Observation boxes lazily when an event needs the footprint
+// attached. It reports whether the view's protocol is known.
+func (ctx *SessionContext) beginFrame(v *FrameView, h RouteHints) bool {
 	ctx.sipSt, ctx.sipOut = nil, sipOutcome{}
 	ctx.touchOnEnd = false
-	ctx.view, ctx.boxed = v, boxed
+	ctx.view, ctx.boxed = v, nil
 	switch v.Proto {
 	case ProtoSIP:
 		ctx.session = v.Msg.CallID()
@@ -135,8 +133,7 @@ func (ctx *SessionContext) Session() string { return ctx.session }
 // Observation returns the boxed Footprint of the frame in flight, for
 // attaching to events. Boxing is lazy and memoized per frame: frames that
 // complete no event never pay a Footprint allocation, and multiple events
-// from one frame share one boxed value (as the boxed pipeline always
-// did).
+// from one frame share one boxed value.
 func (ctx *SessionContext) Observation() Footprint {
 	if ctx.boxed == nil && ctx.view != nil {
 		ctx.boxed = ctx.view.box()

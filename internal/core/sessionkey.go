@@ -238,38 +238,12 @@ func (x *sessionIndex) setCalleeMedia(st *sessionState, media netip.AddrPort) {
 	st.calleeMedia = media
 }
 
-// SessionKey returns the session (trail) key a footprint is filed under:
-// Call-ID for SIP and accounting, the negotiated session for media flows
-// (with an address-derived fallback when no session matches), and a
-// destination-derived key for undecodable traffic. The sharded router
-// calls this on a footprint it reconstructs from a peeked frame, so both
-// engines key trails identically by construction.
-func (x *sessionIndex) SessionKey(f Footprint) string {
-	switch fp := f.(type) {
-	case *SIPFootprint:
-		return fp.Msg.CallID()
-	case *RTPFootprint:
-		if s := x.flowSession(fp.Src, fp.Dst); s != "" {
-			return s
-		}
-		return x.endpointKey('r', "rtp:", fp.Dst)
-	case *RTCPFootprint:
-		if s := x.rtcpFlowSession(fp.Src, fp.Dst); s != "" {
-			return s
-		}
-		return x.endpointKey('c', "rtcp:", fp.Dst)
-	case *AcctFootprint:
-		return fp.Txn.CallID
-	case *RawFootprint:
-		return x.endpointKey('w', "raw:", fp.Dst)
-	default:
-		return ""
-	}
-}
-
-// sessionKeyView is SessionKey for a frame view — the hot-path form: the
-// fallback keys come from the intern table, so a steady media stream
-// computes its key with zero allocations.
+// sessionKeyView returns the session (trail) key a frame view is filed
+// under: Call-ID for SIP and accounting, the negotiated session for media
+// flows (with an address-derived fallback when no session matches), and a
+// destination-derived key for undecodable traffic. The fallback keys come
+// from the intern table, so a steady media stream computes its key with
+// zero allocations.
 func (x *sessionIndex) sessionKeyView(v *FrameView) string {
 	switch v.Proto {
 	case ProtoSIP:

@@ -9,11 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scidive/internal/accounting"
 	"scidive/internal/capture"
 	"scidive/internal/netsim"
 	"scidive/internal/packet"
-	"scidive/internal/rtp"
 	"scidive/internal/sip"
 )
 
@@ -88,7 +86,7 @@ type ShardedEngine struct {
 	frameIdx uint64
 	idx      *sessionIndex
 	reasm    *packet.Reassembler
-	frags    map[fragIdent]*fragGroup
+	frags    fragMirror
 	// streams is the router-owned stream-transport demux (TCP reassembly +
 	// SIP framing). It is the ONLY stream state in the sharded engine:
 	// shards receive already-extracted messages, so stream expiry and
@@ -101,23 +99,17 @@ type ShardedEngine struct {
 	// is mutated under mu; their eviction counters are atomics, read
 	// lock-free by Stats).
 	correlators []Correlator
-	// ladder is the content-confirmation reclassification ladder derived
-	// from the same correlator registry (classify.go): when a claimed
-	// protocol's decode fails here, the router reclassifies exactly as the
-	// shard's distiller will, so a reclassified frame still routes to the
-	// session its content belongs to.
-	ladder  classifyLadder
-	sticky  map[string]string // Call-ID -> routing key (pinned on first sighting)
-	pending [][]shardItem
+	sticky      map[string]string // Call-ID -> routing key (pinned on first sighting)
+	pending     [][]shardItem
 
-	// Router-side decode scratch, used under mu: a pooled SIP parser with
-	// one reusable message (classify never retains the message — only
-	// interned strings flow into the directory) and peek views for
-	// RTP/RTCP, so classification allocates nothing per frame.
-	parser  *sip.Parser
-	msg     sip.Message
-	rtpHdr  rtp.HeaderView
-	rtcpCmp rtp.CompoundView
+	// dec is the router's decoder (ingest.go), used under mu: the shared
+	// classifier with the registry's claims and ladder, so a reclassified
+	// frame routes to the session its content belongs to exactly as the
+	// shard's distiller will file it. SIP parses land in msg, which the
+	// router never retains (only interned strings flow into the
+	// directory), so classification allocates nothing per frame.
+	dec decoder
+	msg sip.Message
 	// hints is per-frame scratch for the hinter passes: taking the
 	// address of a local RouteHints forces a heap escape through the
 	// hinter interfaces, so classify reuses this field instead.
@@ -180,6 +172,79 @@ type fragGroup struct {
 type routedFrame struct {
 	at    time.Duration
 	frame []byte
+}
+
+// fragMirror buffers the raw frames of in-progress IPv4 fragment groups
+// on exactly the reassembler's lifetime, so a completed datagram ships to
+// one shard whole and a checkpoint carries every in-progress group. The
+// sharded router keeps one, and so does the serial engine's distiller,
+// whose portable checkpoints must restore at any shard count.
+type fragMirror map[fragIdent]*fragGroup
+
+// insert runs one IPv4 packet through r, keeping the mirror in step. It
+// returns the reassembler's results (the datagram's addresses and
+// protocol are iph's, shared by all of its fragments) plus, when the
+// packet completed a fragmented datagram, the group's earlier frames in
+// arrival order. frame is retained while its group is in progress. A nil
+// mirror only reassembles.
+func (m fragMirror) insert(r *packet.Reassembler, iph *packet.IPv4Header, ipPayload []byte, at time.Duration, frame []byte) (body []byte, group []routedFrame, done bool, err error) {
+	if m == nil {
+		_, body, done, err = r.Insert(*iph, ipPayload, at)
+		return body, nil, done, err
+	}
+	// The reassembler expires stale streams at every Insert; prune on the
+	// same clock first so the two never disagree about which stream a
+	// fragment belongs to. Capacity evictions arrive through evict.
+	m.prune(at)
+	fragmented := iph.FragOffset != 0 || iph.MoreFragments()
+	key := fragIdent{src: iph.Src, dst: iph.Dst, proto: iph.Protocol, id: iph.ID}
+	_, body, done, err = r.Insert(*iph, ipPayload, at)
+	switch {
+	case err != nil:
+		// The reassembler creates its buffer before the oversize check but
+		// after the alignment check; mirror that so group lifetimes track
+		// buffer lifetimes exactly. The frame itself contributed nothing.
+		alignErr := iph.FragOffset != 0 && len(ipPayload)%8 != 0 && iph.MoreFragments()
+		if fragmented && !alignErr && m[key] == nil {
+			m[key] = &fragGroup{first: at}
+		}
+	case !done:
+		grp := m[key]
+		if grp == nil {
+			grp = &fragGroup{first: at}
+			m[key] = grp
+		}
+		grp.frames = append(grp.frames, routedFrame{at: at, frame: frame})
+	case fragmented:
+		if grp := m[key]; grp != nil {
+			group = grp.frames
+			delete(m, key)
+		}
+	}
+	return body, group, done, err
+}
+
+// prune drops groups on the reassembler's expiry schedule.
+func (m fragMirror) prune(now time.Duration) {
+	for k, grp := range m {
+		if now-grp.first > packet.DefaultReassemblyTimeout {
+			delete(m, k)
+		}
+	}
+}
+
+// evict drops the group of a stream the reassembler evicted to respect
+// its capacity (its OnEvict hook).
+func (m fragMirror) evict(id packet.FragID) {
+	delete(m, fragIdent{src: id.Src, dst: id.Dst, proto: id.Proto, id: id.ID})
+}
+
+// install replaces the mirror's groups with a checkpoint's.
+func (m fragMirror) install(groups fragMirror) {
+	clear(m)
+	for k, grp := range groups {
+		m[k] = grp
+	}
 }
 
 // shippedMsg is one stream-extracted SIP message (or tunneled media
@@ -383,15 +448,14 @@ func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngi
 		opts:        opts,
 		idx:         newSessionIndex(true),
 		reasm:       packet.NewReassembler(0),
-		frags:       make(map[fragIdent]*fragGroup),
+		frags:       make(fragMirror),
 		correlators: buildCorrelators(cfg.Correlators, cfg.Gen.withDefaults()),
-		parser:      sip.NewParser(),
 		sticky:      make(map[string]string),
 		selfDedup:   make(map[string]int),
 		pending:     make([][]shardItem, shards),
 		workers:     make([]*shardWorker, shards),
 	}
-	s.ladder = ladderOf(s.correlators)
+	s.dec = decoder{claimers: s.correlators, ladder: ladderOf(s.correlators), sink: sipSink{parser: sip.NewParser(), into: &s.msg}}
 	s.liveRules.Store(&s.cfg.Rules)
 	// The router's correlator instances enforce the full (global) budget;
 	// shard instances get those caps zeroed (see shardLocalLimits).
@@ -414,10 +478,10 @@ func NewShardedEngine(cfg Config, shards int, opts ...EngineOption) *ShardedEngi
 	s.reasm.SetLimit(cfg.Limits.MaxFragGroups)
 	s.reasm.OnEvict(func(id packet.FragID) {
 		s.capFrags.Add(1)
-		delete(s.frags, fragIdent{src: id.Src, dst: id.Dst, proto: id.Proto, id: id.ID})
+		s.frags.evict(id)
 	})
 	s.streams = newStreamMux()
-	s.streams.sniff = s.ladder.tunnelSniff
+	s.streams.sniff = s.dec.ladder.tunnelSniff
 	s.streams.reasm.SetLimit(cfg.Limits.MaxStreams)
 	s.streams.onEvict = func(id packet.StreamID, at time.Duration) {
 		s.capStreams.Add(1)
@@ -589,7 +653,7 @@ func (s *ShardedEngine) expireLocked(at time.Duration) {
 	}
 }
 
-// routeLocked peeks at a frame, updates the routing directory, and ships
+// routeLocked decodes a frame, updates the routing directory, and ships
 // the frame (with hints) to its shard. Every drop point below matches a
 // path where the serial distiller produces no footprint, so dropped
 // frames are exactly the frames no shard needs.
@@ -602,107 +666,51 @@ func (s *ShardedEngine) routeLocked(idx uint64, at time.Duration, frame []byte) 
 	if err != nil {
 		return
 	}
-	// The reassembler expires stale fragment streams at every Insert;
-	// prune the buffered frame groups on the same clock so the two can
-	// never disagree about which stream a fragment belongs to. Capacity
-	// evictions are mirrored through the OnEvict hook.
-	s.pruneFragsLocked(at)
-	fragmented := iph.FragOffset != 0 || iph.MoreFragments()
-	full, payload, done, err := s.reasm.Insert(iph, ipPayload, at)
-	key := fragIdent{src: iph.Src, dst: iph.Dst, proto: iph.Protocol, id: iph.ID}
-	if err != nil {
-		// The reassembler creates its buffer before the oversize check but
-		// after the alignment check; mirror that so group lifetimes track
-		// buffer lifetimes exactly. The frame itself contributed nothing.
-		alignErr := iph.FragOffset != 0 && len(ipPayload)%8 != 0 && iph.MoreFragments()
-		if fragmented && !alignErr {
-			if s.frags[key] == nil {
-				s.frags[key] = &fragGroup{first: at}
-			}
-		}
+	body, group, done, err := s.frags.insert(s.reasm, &iph, ipPayload, at, frame)
+	if err != nil || !done {
 		return
 	}
-	if !done {
-		grp := s.frags[key]
-		if grp == nil {
-			grp = &fragGroup{first: at}
-			s.frags[key] = grp
-		}
-		grp.frames = append(grp.frames, routedFrame{at: at, frame: frame})
+	if iph.Protocol == packet.ProtoTCP {
+		s.routeStreamLocked(idx, at, iph.Src, iph.Dst, body)
 		return
 	}
-	var group []routedFrame
-	if fragmented {
-		if grp := s.frags[key]; grp != nil {
-			group = grp.frames
-			delete(s.frags, key)
-		}
-	}
-	if full.Protocol != packet.ProtoUDP {
-		if full.Protocol == packet.ProtoTCP {
-			s.routeStreamLocked(idx, at, full.Src, full.Dst, payload)
-		}
+	d := ingDigest{at: at, frame: frame}
+	s.dec.datagram(iph.Protocol, iph.Src, iph.Dst, body, &d)
+	s.shipDigestLocked(idx, &d, group)
+}
+
+// shipDigestLocked is the stateful half of datagram routing, shared by
+// the synchronous router and the ingest sequencer: it classifies a
+// decoded datagram against the directory and queues the frame — or the
+// fragment group it completed — for its shard.
+func (s *ShardedEngine) shipDigestLocked(idx uint64, d *ingDigest, group []routedFrame) {
+	if d.kind != ingDatagram {
 		return
 	}
-	uh, udpPayload, err := packet.PeekUDP(full.Src, full.Dst, payload)
-	if err != nil {
-		return
-	}
-	src := netip.AddrPortFrom(full.Src, uh.SrcPort)
-	dst := netip.AddrPortFrom(full.Dst, uh.DstPort)
-	routeKey, hints, ship := s.classifyLocked(at, src, dst, udpPayload)
-	if !ship {
-		return
-	}
+	routeKey, hints := s.classifyDigestLocked(d, "")
 	shard := shardOf(s.resolveRouteLocked(routeKey), len(s.workers))
 	if group == nil {
-		s.appendItemLocked(shard, shardItem{kind: itemFrame, idx: idx, at: at, frame: frame, hints: hints})
+		s.appendItemLocked(shard, shardItem{kind: itemFrame, idx: idx, at: d.at, frame: d.frame, hints: hints})
 		return
 	}
-	group = append(group, routedFrame{at: at, frame: frame})
+	group = append(group, routedFrame{at: d.at, frame: d.frame})
 	s.appendItemLocked(shard, shardItem{kind: itemGroup, idx: idx, group: group, hints: hints})
 }
 
-// pruneFragsLocked drops buffered fragment groups on the reassembler's
-// eviction schedule.
-func (s *ShardedEngine) pruneFragsLocked(now time.Duration) {
-	for k, grp := range s.frags {
-		if now-grp.first > packet.DefaultReassemblyTimeout {
-			delete(s.frags, k)
-		}
-	}
-}
-
-// classifyLocked computes the routing key plus hints for a datagram. The
-// protocol comes from the registered correlators' port claims — the same
-// claims the shards' distillers consult, so router and shard can never
-// disagree about a port's protocol. ship=false means no correlator
-// claimed the port, so the serial engine would produce no footprint.
-func (s *ShardedEngine) classifyLocked(at time.Duration, src, dst netip.AddrPort, udpPayload []byte) (string, RouteHints, bool) {
-	proto, claimed := claimPortOf(s.correlators, src.Port(), dst.Port())
-	if !claimed {
-		return "", RouteHints{}, false
-	}
-	switch proto {
+// classifyDigestLocked runs the stateful classification of one decoded
+// datagram or stream message, returning its routing key and the hints
+// its shard needs. flowKey is the stream's routing key for
+// stream-carried messages ("" for datagrams).
+func (s *ShardedEngine) classifyDigestLocked(d *ingDigest, flowKey string) (string, RouteHints) {
+	switch d.proto {
 	case ProtoSIP:
-		key, hints := s.classifySIPLocked(at, src, dst, udpPayload)
-		return key, hints, true
+		return s.classifySIPMsgLocked(d.at, d.src, d.dst, d.msg, flowKey)
 	case ProtoAccounting:
-		txn, err := accounting.ParseTxn(udpPayload)
-		if err != nil {
-			if key, hints, ok := s.ladderRouteLocked(ProtoAccounting, at, src, dst, udpPayload); ok {
-				return key, hints, true
-			}
-		}
-		return s.classifyAcctLocked(dst, txn.CallID, txn.Kind == accounting.TxnStart, err == nil), RouteHints{}, true
+		return s.classifyAcctLocked(d.dst, d.callID, d.start, d.ok), RouteHints{}
 	case ProtoRTP:
-		key, hints := s.classifyRTPLocked(at, src, dst, udpPayload)
-		return key, hints, true
-	case ProtoRTCP:
-		key, hints := s.classifyRTCPLocked(at, src, dst, udpPayload)
-		return key, hints, true
+		return s.classifyRTPSeqLocked(d.at, d.src, d.dst, d.seq, d.ok)
 	default:
-		return "", RouteHints{}, false
+		return s.classifyRTCPFlowLocked(d.at, d.src, d.dst, d.ok)
 	}
 }
 
@@ -719,65 +727,12 @@ func (s *ShardedEngine) classifyAcctLocked(dst netip.AddrPort, callID string, st
 	return callID
 }
 
-func (s *ShardedEngine) classifySIPLocked(at time.Duration, src, dst netip.AddrPort, udpPayload []byte) (string, RouteHints) {
-	// ParseInto reuses the router's message and aliases the frame's body;
-	// neither outlives this call — applySIP and the hinters extract only
-	// interned strings and scalar verdicts.
-	m := &s.msg
-	if err := s.parser.ParseInto(udpPayload, &s.msg); err != nil {
-		if key, hints, ok := s.ladderRouteLocked(ProtoSIP, at, src, dst, udpPayload); ok {
-			return key, hints
-		}
-		m = nil
-	}
-	return s.classifySIPMsgLocked(at, src, dst, m)
-}
-
-// ladderRouteLocked is the router's half of content-confirmed
-// reclassification (classify.go): after the claimed protocol's decode
-// failed, it walks the same ladder the shard's distiller will walk and,
-// on the first protocol whose confirmation and full decode both accept
-// the payload, runs that protocol's normal stateful classification — so
-// a reclassified frame lands on the shard of the session its content
-// belongs to, with the same hints a natively classified frame would
-// carry. ok=false means no rung accepted and the caller falls through to
-// its raw path, exactly as before the ladder existed.
-func (s *ShardedEngine) ladderRouteLocked(claimed Protocol, at time.Duration, src, dst netip.AddrPort, udpPayload []byte) (string, RouteHints, bool) {
-	for _, step := range s.ladder {
-		if step.proto == claimed || !step.confirm(udpPayload) {
-			continue
-		}
-		switch step.proto {
-		case ProtoSIP:
-			if s.parser.ParseInto(udpPayload, &s.msg) != nil {
-				continue
-			}
-			key, hints := s.classifySIPMsgLocked(at, src, dst, &s.msg)
-			return key, hints, true
-		case ProtoRTP:
-			if rtp.PeekHeader(udpPayload, &s.rtpHdr) != nil {
-				continue
-			}
-			key, hints := s.classifyRTPSeqLocked(at, src, dst, s.rtpHdr.Seq, true)
-			return key, hints, true
-		case ProtoRTCP:
-			if rtp.PeekCompound(udpPayload, &s.rtcpCmp) != nil {
-				continue
-			}
-			key, hints := s.classifyRTCPFlowLocked(at, src, dst, true)
-			return key, hints, true
-		}
-	}
-	return "", RouteHints{}, false
-}
-
 // classifySIPMsgLocked is the stateful half of SIP classification: it
-// takes an already-parsed message (nil for an unparseable datagram on a
-// SIP port) and runs the directory transition, hinters, binding
-// replication and sticky-key pinning. The synchronous router parses into
-// its own scratch message; the ingest sequencer passes messages the
-// ingest lanes parsed in parallel (see ingest.go).
-func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.AddrPort, m *sip.Message) (string, RouteHints) {
+// takes a parsed message (nil for an unparseable payload on a SIP port)
+// and runs the directory transition, hinters, binding replication and
+// sticky-key pinning (pinRouteKey; flowKey is the stream's routing key
+// for stream-carried messages).
+func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.AddrPort, m *sip.Message, flowKey string) (string, RouteHints) {
 	if m == nil {
 		return s.idx.endpointKey('w', "raw:", dst), RouteHints{}
 	}
@@ -806,25 +761,11 @@ func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.Ad
 		}
 	}
 	s.idx.touch(st.callID, at)
-	// Pin the routing key on the dialog's first sighting. A correlator
-	// with cross-dialog state overrides the default Call-ID key (the im
-	// correlator routes MESSAGE dialogs by "im:" + sender AOR, the
-	// options-scan correlator routes OPTIONS probes by source) so its
-	// state colocates on one shard across Call-IDs.
-	routeKey, ok := s.sticky[st.callID]
-	if !ok {
-		routeKey = st.callID
-		for _, c := range s.correlators {
-			if rk, isKeyer := c.(sipRouteKeyer); isKeyer {
-				if k, claimed := rk.sipRouteKey(m, out, src); claimed {
-					routeKey = k
-					break
-				}
-			}
-		}
-		s.sticky[st.callID] = routeKey
-	}
-	return routeKey, s.hints
+	// A correlator with cross-dialog state overrides the default Call-ID
+	// key (the im correlator routes MESSAGE dialogs by "im:" + sender
+	// AOR, the options-scan correlator routes OPTIONS probes by source)
+	// so its state colocates on one shard across Call-IDs.
+	return pinRouteKey(s.sticky, s.correlators, st.callID, m, out, src, flowKey), s.hints
 }
 
 // routeStreamLocked is the stream-transport arm of the router: a TCP
@@ -834,7 +775,9 @@ func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.Ad
 // coalesced messages keep the serial engine's output order. TCP frames
 // that complete no message (handshakes, partial messages, unclaimed
 // ports) ship nothing, exactly the frames the serial engine produces no
-// footprint for.
+// footprint for. Only the hints of each message matter (it routes with
+// its flow), but the directory transitions run exactly as they would for
+// the equivalent datagram, in global arrival order.
 func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, srcIP, dstIP netip.Addr, seg []byte) {
 	th, payload, err := packet.PeekTCP(srcIP, dstIP, seg)
 	if err != nil {
@@ -852,13 +795,10 @@ func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, srcIP, d
 	}
 	flowKey := streamFlowKey(src, dst)
 	ship := make([]shippedMsg, len(msgs))
+	var d ingDigest
 	for i, sm := range msgs {
-		var hints RouteHints
-		if sm.kind == streamKindTunnel {
-			hints = s.classifyStreamTunnelLocked(sm.at, sm.src, sm.dst, sm.payload)
-		} else {
-			hints = s.classifyStreamSIPLocked(sm.at, sm.src, sm.dst, sm.payload, flowKey)
-		}
+		s.dec.message(sm, &d)
+		_, hints := s.classifyDigestLocked(&d, flowKey)
 		ship[i] = shippedMsg{at: sm.at, src: sm.src, dst: sm.dst,
 			payload: append([]byte(nil), sm.payload...), hints: hints, kind: sm.kind}
 	}
@@ -866,88 +806,9 @@ func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, srcIP, d
 		shardItem{kind: itemStream, idx: idx, at: at, msgs: ship})
 }
 
-// classifyStreamSIPLocked runs the router's directory transition, hinter
-// passes and binding replication for one stream-extracted SIP message,
-// mirroring classifySIPMsgLocked with one difference: a dialog first
-// sighted on a stream pins its sticky key to the flow's routing key
-// (every message of the stream already routes there — flow affinity wins
-// over the Call-ID and keyer overrides), so the dialog's media and
-// accounting follow the stream's shard.
-func (s *ShardedEngine) classifyStreamSIPLocked(at time.Duration, src, dst netip.AddrPort, payload []byte, flowKey string) RouteHints {
-	if err := s.parser.ParseInto(payload, &s.msg); err != nil {
-		return RouteHints{}
-	}
-	m := &s.msg
-	st, out := s.idx.applySIP(m, at, src)
-	s.hints = RouteHints{}
-	for _, c := range s.correlators {
-		if sh, ok := c.(sipHinter); ok {
-			sh.sipHint(at, src, dst, m, out, &s.hints)
-		}
-	}
-	if out.regOK && out.bindingIP.IsValid() {
-		for i := range s.workers {
-			s.appendItemLocked(i, shardItem{kind: itemBinding, aor: out.regAOR, ip: out.bindingIP})
-		}
-	}
-	if out.established {
-		for _, c := range s.correlators {
-			if o, ok := c.(establishObserver); ok {
-				o.onEstablished(st)
-			}
-		}
-	}
-	s.idx.touch(st.callID, at)
-	if _, ok := s.sticky[st.callID]; !ok {
-		s.sticky[st.callID] = flowKey
-	}
-	return s.hints
-}
-
-// classifyStreamTunnelLocked runs the stateful classification for a
-// media chunk tunneled over a SIP-claimed TCP stream. The chunk still
-// routes with its flow (stream order and the shipped payload's merge
-// ordinal must hold), so only the hints matter here — but the directory
-// transitions (session touch, rtp continuity hint) run exactly as they
-// would for the equivalent datagram, in global arrival order. Mirrors
-// the shard-side decode in distillStreamMessage's tunnel arm.
-func (s *ShardedEngine) classifyStreamTunnelLocked(at time.Duration, src, dst netip.AddrPort, payload []byte) RouteHints {
-	for _, step := range s.ladder {
-		if step.proto == ProtoSIP || !step.confirm(payload) {
-			continue
-		}
-		switch step.proto {
-		case ProtoRTP:
-			if rtp.PeekHeader(payload, &s.rtpHdr) != nil {
-				continue
-			}
-			_, hints := s.classifyRTPSeqLocked(at, src, dst, s.rtpHdr.Seq, true)
-			return hints
-		case ProtoRTCP:
-			if rtp.PeekCompound(payload, &s.rtcpCmp) != nil {
-				continue
-			}
-			_, hints := s.classifyRTCPFlowLocked(at, src, dst, true)
-			return hints
-		}
-	}
-	return RouteHints{}
-}
-
-func (s *ShardedEngine) classifyRTPLocked(at time.Duration, src, dst netip.AddrPort, udpPayload []byte) (string, RouteHints) {
-	ok := rtp.PeekHeader(udpPayload, &s.rtpHdr) == nil
-	if !ok {
-		if key, hints, lok := s.ladderRouteLocked(ProtoRTP, at, src, dst, udpPayload); lok {
-			return key, hints
-		}
-	}
-	return s.classifyRTPSeqLocked(at, src, dst, s.rtpHdr.Seq, ok)
-}
-
 // classifyRTPSeqLocked is the stateful half of RTP classification: only
 // the peeked sequence number (and whether the peek succeeded) is needed
-// from the datagram, so ingest lanes can do the header decode off the
-// routing lock.
+// from the datagram.
 func (s *ShardedEngine) classifyRTPSeqLocked(at time.Duration, src, dst netip.AddrPort, seq uint16, ok bool) (string, RouteHints) {
 	if !ok {
 		// Garbage on a media port: the serial generator attributes the
@@ -972,16 +833,6 @@ func (s *ShardedEngine) classifyRTPSeqLocked(at time.Duration, src, dst netip.Ad
 	}
 	s.idx.touch(session, at)
 	return session, s.hints
-}
-
-func (s *ShardedEngine) classifyRTCPLocked(at time.Duration, src, dst netip.AddrPort, udpPayload []byte) (string, RouteHints) {
-	ok := rtp.PeekCompound(udpPayload, &s.rtcpCmp) == nil
-	if !ok {
-		if key, hints, lok := s.ladderRouteLocked(ProtoRTCP, at, src, dst, udpPayload); lok {
-			return key, hints
-		}
-	}
-	return s.classifyRTCPFlowLocked(at, src, dst, ok)
 }
 
 // classifyRTCPFlowLocked is the stateful half of RTCP classification:
@@ -1065,13 +916,34 @@ func (w *shardWorker) noteEnqueued() {
 	}
 }
 
-// shedBatchLocked drops a whole batch: frames are counted as shed, flush
-// and inspect markers are acked so no reader waits on dropped work, and
-// an ids-overload self-alert records the loss. Control items (bindings,
+// shedBatchLocked drops a whole batch: frames are counted as shed and an
+// ids-overload self-alert records the loss. Control items (bindings,
 // expiries, evictions) in a shed batch are lost too — acceptable
-// degradation for an already-overloaded or failed shard.
+// degradation for an already-overloaded or failed shard. Markers
+// (flush, inspect, snapshot, restore, reload, restart) bound for a
+// healthy shard are never shed: they are delivered in a batch of their
+// own, behind everything already queued, so a Flush returns only once
+// the batches before it have run. A quarantined shard's markers are
+// acked here so no reader waits on dropped work.
 func (s *ShardedEngine) shedBatchLocked(shard int, batch []shardItem) {
 	w := s.workers[shard]
+	var markers []shardItem
+	if w.state.Load() == stateHealthy {
+		n := 0
+		for _, it := range batch {
+			if it.ack == nil {
+				batch[n] = it
+				n++
+				continue
+			}
+			if markers == nil {
+				markers = getBatch()
+			}
+			markers = append(markers, it)
+		}
+		clear(batch[n:])
+		batch = batch[:n]
+	}
 	n, at := shedItems(batch)
 	w.shedBatches.Add(1)
 	if n > 0 {
@@ -1080,6 +952,30 @@ func (s *ShardedEngine) shedBatchLocked(shard int, batch []shardItem) {
 			fmt.Sprintf("shed %d frames bound for shard %d (queue stalled or shard quarantined)", n, shard), at)
 	}
 	putBatch(batch)
+	if markers != nil {
+		s.deliverMarkersLocked(w, markers)
+	}
+}
+
+// deliverMarkersLocked queues a batch of markers behind the shard's
+// backlog, blocking like the ShedAfter == 0 backpressure path. It gives
+// up, acking the markers, only if the shard is quarantined meanwhile (a
+// stalled shard may never drain its queue).
+func (s *ShardedEngine) deliverMarkersLocked(w *shardWorker, markers []shardItem) {
+	tick := time.NewTicker(200 * time.Microsecond)
+	defer tick.Stop()
+	for {
+		select {
+		case w.ch <- markers:
+			w.noteEnqueued()
+			return
+		case <-tick.C:
+			if w.state.Load() != stateHealthy {
+				shedItems(markers)
+				return
+			}
+		}
+	}
 }
 
 // shedItems counts the frames in a run of items and acks its markers,
@@ -1757,22 +1653,8 @@ func (w *shardWorker) injectFault() {
 // router's hints), and feed rules. Frame counting and expiry cadence are
 // the router's job, so unlike Engine.HandleFrame neither happens here.
 func (w *shardWorker) processFrame(idx uint64, at time.Duration, frame []byte, h RouteHints) {
-	e := w.eng
-	if !e.distiller.DistillView(at, frame, &e.view) {
-		return
-	}
-	e.stats.Footprints++
-	e.evScratch = e.evScratch[:0]
-	e.gen.ProcessView(&e.view, h, &e.evScratch)
-	for _, ev := range e.evScratch {
-		e.stats.Events++
-		w.curTag = mergeTag{idx: idx, sub: w.sub}
-		if e.keepLog {
-			e.logEvent(ev)
-			w.eventTags = append(w.eventTags, w.curTag)
-		}
-		e.stats.Alerts += len(e.rules.Feed(ev))
-		w.sub++
+	if w.eng.distiller.DistillView(at, frame, &w.eng.view) {
+		w.processView(idx, h)
 	}
 }
 
@@ -1783,11 +1665,18 @@ func (w *shardWorker) processFrame(idx uint64, at time.Duration, frame []byte, h
 // continuously across the messages of one item, so coalesced messages
 // keep the serial output order).
 func (w *shardWorker) processStreamMessage(idx uint64, sm shippedMsg) {
+	w.eng.distiller.distillStreamMessage(sm.at, sm.src, sm.dst, sm.payload, sm.kind, &w.eng.view)
+	w.processView(idx, sm.hints)
+}
+
+// processView generates events from the distilled view (with the
+// router's hints) and feeds them to the rules, tagging each for the
+// global merge.
+func (w *shardWorker) processView(idx uint64, h RouteHints) {
 	e := w.eng
-	e.distiller.distillStreamMessage(sm.at, sm.src, sm.dst, sm.payload, sm.kind, &e.view)
 	e.stats.Footprints++
 	e.evScratch = e.evScratch[:0]
-	e.gen.ProcessView(&e.view, sm.hints, &e.evScratch)
+	e.gen.ProcessView(&e.view, h, &e.evScratch)
 	for _, ev := range e.evScratch {
 		e.stats.Events++
 		w.curTag = mergeTag{idx: idx, sub: w.sub}

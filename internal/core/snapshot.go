@@ -1532,7 +1532,7 @@ func readSticky(r *snapReader) (keys, vals []string) {
 // writeFragGroups serializes the buffered frames of in-progress IP
 // fragment groups, so a restoring router can ship each completed group to
 // its shard exactly as an uninterrupted run would have.
-func writeFragGroups(w *snapWriter, frags map[fragIdent]*fragGroup) {
+func writeFragGroups(w *snapWriter, frags fragMirror) {
 	idents := make([]fragIdent, 0, len(frags))
 	for id := range frags {
 		idents = append(idents, id)
@@ -1566,24 +1566,24 @@ func writeFragGroups(w *snapWriter, frags map[fragIdent]*fragGroup) {
 	}
 }
 
-func readFragGroups(r *snapReader) (idents []fragIdent, firsts []time.Duration, frames [][]routedFrame) {
+func readFragGroups(r *snapReader) fragMirror {
+	groups := make(fragMirror)
 	n := r.count()
 	for i := 0; i < n && r.err == nil; i++ {
-		idents = append(idents, fragIdent{
+		id := fragIdent{
 			src:   r.addrv(),
 			dst:   r.addrv(),
 			proto: r.u8(),
 			id:    r.u16(),
-		})
-		firsts = append(firsts, r.dur())
-		nf := r.count()
-		var fs []routedFrame
-		for j := 0; j < nf && r.err == nil; j++ {
-			fs = append(fs, routedFrame{at: r.dur(), frame: r.bytesv()})
 		}
-		frames = append(frames, fs)
+		grp := &fragGroup{first: r.dur()}
+		nf := r.count()
+		for j := 0; j < nf && r.err == nil; j++ {
+			grp.frames = append(grp.frames, routedFrame{at: r.dur(), frame: r.bytesv()})
+		}
+		groups[id] = grp
 	}
-	return idents, firsts, frames
+	return groups
 }
 
 // writeStreamMux serializes the stream-transport demux (serial distiller
@@ -1763,7 +1763,7 @@ func (e *Engine) RestoreSnapshot(data []byte) error {
 		return err
 	}
 	stickyKeys, stickyVals := readSticky(r)
-	fragIdents, fragFirsts, fragFrames := readFragGroups(r)
+	fragGroups := readFragGroups(r)
 	tcpStreams, framerBufs, tcpEvicted := readStreamMux(r)
 	if r.err != nil {
 		return r.err
@@ -1782,10 +1782,7 @@ func (e *Engine) RestoreSnapshot(data []byte) error {
 	for i, id := range stickyKeys {
 		e.gen.sticky[id] = stickyVals[i]
 	}
-	clear(e.distiller.frags)
-	for i, id := range fragIdents {
-		e.distiller.frags[id] = &fragGroup{first: fragFirsts[i], frames: fragFrames[i]}
-	}
+	e.distiller.frags.install(fragGroups)
 	if e.distiller.streams != nil {
 		e.distiller.streams.install(tcpStreams, framerBufs, tcpEvicted)
 	}

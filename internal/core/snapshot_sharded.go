@@ -289,7 +289,7 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	}
 	body := parseEngineBody(r, *s.liveRules.Load())
 	stickyKeys, stickyVals := readSticky(r)
-	fragIdents, fragFirsts, fragFrames := readFragGroups(r)
+	fragGroups := readFragGroups(r)
 	tcpStreams, framerBufs, tcpEvicted := readStreamMux(r)
 	if r.err != nil {
 		return r.err
@@ -447,10 +447,7 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	s.frames.Store(h.frames)
 	installSessionIndex(s.idx, body.index)
 	s.reasm.ImportStreams(body.streams, body.reasmEvicted)
-	clear(s.frags)
-	for i, id := range fragIdents {
-		s.frags[id] = &fragGroup{first: fragFirsts[i], frames: fragFrames[i]}
-	}
+	s.frags.install(fragGroups)
 	s.streams.install(tcpStreams, framerBufs, tcpEvicted)
 	for _, install := range routerInstalls {
 		install()

@@ -52,17 +52,6 @@ func (t *Trail) AppendView(v *FrameView) {
 	}
 }
 
-// Append adds a boxed footprint (compat path for tests and callers that
-// still hold Footprint values). Footprint types outside the built-in set
-// are dropped: trails store value-typed views.
-func (t *Trail) Append(f Footprint) {
-	var v FrameView
-	if !viewOf(f, &v) {
-		return
-	}
-	t.AppendView(&v)
-}
-
 // Len returns the number of retained footprints (including restored
 // phantom entries whose bytes were dropped at the last checkpoint).
 func (t *Trail) Len() int { return t.restored + len(t.entries) }

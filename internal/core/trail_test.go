@@ -5,15 +5,15 @@ import (
 	"time"
 )
 
-func rtpFp(at time.Duration) *RTPFootprint {
-	return &RTPFootprint{FootprintBase: FootprintBase{At: at}}
+func rtpFp(at time.Duration) *FrameView {
+	return &FrameView{Proto: ProtoRTP, At: at}
 }
 
 func TestTrailAppendAndOrder(t *testing.T) {
 	s := NewTrailStore(0)
 	tr := s.Get("call-1", ProtoRTP)
 	for i := 0; i < 10; i++ {
-		tr.Append(rtpFp(time.Duration(i) * time.Millisecond))
+		tr.AppendView(rtpFp(time.Duration(i) * time.Millisecond))
 	}
 	if tr.Len() != 10 {
 		t.Fatalf("Len = %d", tr.Len())
@@ -33,7 +33,7 @@ func TestTrailBounded(t *testing.T) {
 	s := NewTrailStore(5)
 	tr := s.Get("call-1", ProtoRTP)
 	for i := 0; i < 20; i++ {
-		tr.Append(rtpFp(time.Duration(i) * time.Millisecond))
+		tr.AppendView(rtpFp(time.Duration(i) * time.Millisecond))
 	}
 	if tr.Len() != 5 {
 		t.Fatalf("bounded trail Len = %d, want 5", tr.Len())
@@ -48,7 +48,7 @@ func TestTrailSince(t *testing.T) {
 	s := NewTrailStore(0)
 	tr := s.Get("c", ProtoRTP)
 	for i := 0; i < 10; i++ {
-		tr.Append(rtpFp(time.Duration(i) * time.Second))
+		tr.AppendView(rtpFp(time.Duration(i) * time.Second))
 	}
 	got := tr.Since(6 * time.Second)
 	if len(got) != 3 {
@@ -67,10 +67,10 @@ func TestTrailSince(t *testing.T) {
 
 func TestTrailStoreSessionGrouping(t *testing.T) {
 	s := NewTrailStore(0)
-	s.Get("call-1", ProtoSIP).Append(rtpFp(0))
-	s.Get("call-1", ProtoRTP).Append(rtpFp(0))
-	s.Get("call-1", ProtoAccounting).Append(rtpFp(0))
-	s.Get("call-2", ProtoSIP).Append(rtpFp(0))
+	s.Get("call-1", ProtoSIP).AppendView(rtpFp(0))
+	s.Get("call-1", ProtoRTP).AppendView(rtpFp(0))
+	s.Get("call-1", ProtoAccounting).AppendView(rtpFp(0))
+	s.Get("call-2", ProtoSIP).AppendView(rtpFp(0))
 	if s.Sessions() != 2 {
 		t.Errorf("Sessions = %d", s.Sessions())
 	}
