@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -269,14 +270,16 @@ func TestPcapReplayAutoDetect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Replay: %v", tc.name, err)
 		}
-		var n int
-		count := func(time.Duration, []byte) { n++ }
+		// ReplayPartitioned calls the partition callbacks from its own
+		// goroutines, so the counter is atomic.
+		var n atomic.Int64
+		count := func(time.Duration, []byte) { n.Add(1) }
 		if err := ReplayPartitioned(NewReader(bytes.NewReader(tc.file)), count, count); err != nil {
 			t.Fatalf("%s: ReplayPartitioned: %v", tc.name, err)
 		}
-		if len(frames) != len(pcapTestRecs) || n != len(pcapTestRecs) {
+		if len(frames) != len(pcapTestRecs) || n.Load() != int64(len(pcapTestRecs)) {
 			t.Fatalf("%s: Replay delivered %d frames, ReplayPartitioned %d, want %d",
-				tc.name, len(frames), n, len(pcapTestRecs))
+				tc.name, len(frames), n.Load(), len(pcapTestRecs))
 		}
 		for i := range frames {
 			if !bytes.Equal(frames[i], pcapTestRecs[i].Frame) {

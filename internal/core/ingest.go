@@ -88,11 +88,14 @@ const (
 	// The synchronous router returns before touching the reassembler, so
 	// the sequencer advances nothing.
 	ingDrop ingDigestKind = iota
-	// ingClock: dropped after IPv4 decode (non-UDP protocol, bad UDP
-	// framing, or a port no decodable protocol claims). The synchronous
-	// router advanced the reassembly clocks first, so the sequencer does
-	// the same.
+	// ingClock: dropped after IPv4 decode (non-UDP protocol, or a port
+	// no decodable protocol claims). The synchronous router advanced the
+	// reassembly clocks first, so the sequencer does the same.
 	ingClock
+	// ingBadUDP: dropped after IPv4 decode because the UDP header fails
+	// validation. Clock-advancing like ingClock, but the distiller ledger
+	// books it as a DecodeError rather than Ignored.
+	ingBadUDP
 	// ingFrag: an IPv4 fragment. Reassembly is stateful, so the
 	// sequencer replays the whole frame through routeLocked.
 	ingFrag
@@ -146,7 +149,8 @@ type decoder struct {
 
 // datagram fills d from a reassembled IPv4 body: UDP validation, the
 // port claim and the shared classifier. Anything that is not a UDP
-// datagram on a decodable claimed port leaves d as ingClock.
+// datagram on a decodable claimed port leaves d as ingClock, or as
+// ingBadUDP when the UDP header is malformed.
 func (dc *decoder) datagram(ipProto uint8, srcIP, dstIP netip.Addr, body []byte, d *ingDigest) {
 	d.kind = ingClock
 	if ipProto != packet.ProtoUDP {
@@ -154,6 +158,7 @@ func (dc *decoder) datagram(ipProto uint8, srcIP, dstIP netip.Addr, body []byte,
 	}
 	uh, payload, err := packet.PeekUDP(srcIP, dstIP, body)
 	if err != nil {
+		d.kind = ingBadUDP
 		return
 	}
 	proto, claimed := claimPortOf(dc.claimers, uh.SrcPort, uh.DstPort)
@@ -440,6 +445,7 @@ func (t *ingestTier) sequence() {
 func (s *ShardedEngine) sequenceDigestLocked(idx uint64, d *ingDigest) {
 	switch d.kind {
 	case ingDrop:
+		s.absorb(&s.absorbed.decodeError)
 		return
 	case ingFrag, ingStream:
 		// Fragments and TCP segments take the full synchronous path:

@@ -23,16 +23,38 @@ var (
 )
 
 // diffIngestRunsCfg compares the serial engine against every
-// (ingesters × shards) combination on one frame stream.
+// (ingesters × shards) combination on one frame stream: alerts, events,
+// engine stats and distiller stats, with every shard's routed ==
+// processed + shed ledger reconciled.
 func diffIngestRunsCfg(t *testing.T, label string, frames []rec, cfg core.Config, ingCounts, shardCounts []int) {
 	t.Helper()
-	wantAlerts, wantEvents, wantStats := runSerialCfg(frames, cfg)
+	serial := core.NewEngine(cfg, core.WithEventLog())
+	for _, r := range frames {
+		serial.HandleFrame(r.at, r.frame)
+	}
+	wantAlerts, wantEvents, wantStats, wantDstats := serial.Alerts(), serial.Events(), serial.Stats(), serial.DistillerStats()
 	for _, ing := range ingCounts {
 		for _, shards := range shardCounts {
 			icfg := cfg
 			icfg.IngestRouters = ing
-			gotAlerts, gotEvents, gotStats := runShardedCfg(frames, shards, icfg)
+			eng := core.NewShardedEngine(icfg, shards, core.WithEventLog())
+			for _, r := range frames {
+				eng.HandleFrame(r.at, r.frame)
+			}
+			eng.Flush()
+			gotAlerts, gotEvents, gotStats, gotDstats := eng.Alerts(), eng.Events(), eng.Stats(), eng.DistillerStats()
+			health := eng.ShardHealth()
+			eng.Close()
 			tag := fmt.Sprintf("%s ingesters=%d shards=%d", label, ing, shards)
+			for _, h := range health {
+				if h.FramesRouted != h.FramesProcessed+h.FramesShed {
+					t.Errorf("%s: shard %d ledger: routed %d != processed %d + shed %d",
+						tag, h.Shard, h.FramesRouted, h.FramesProcessed, h.FramesShed)
+				}
+			}
+			if gotDstats != wantDstats {
+				t.Errorf("%s: distiller stats %+v, serial %+v", tag, gotDstats, wantDstats)
+			}
 			if len(gotEvents) != len(wantEvents) {
 				t.Errorf("%s: %d events, serial has %d", tag, len(gotEvents), len(wantEvents))
 			} else {

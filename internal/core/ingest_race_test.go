@@ -48,6 +48,7 @@ func TestIngestHandoffRace(t *testing.T) {
 				switch r % 4 {
 				case 0:
 					_ = eng.Stats()
+					_ = eng.DistillerStats()
 				case 1:
 					_ = eng.Alerts()
 				case 2:
@@ -92,6 +93,11 @@ func TestIngestHandoffRace(t *testing.T) {
 		if h.FramesFed != h.FramesSequenced {
 			t.Errorf("lane %d: fed %d != sequenced %d after flush", h.Ingester, h.FramesFed, h.FramesSequenced)
 		}
+	}
+	ds := eng.DistillerStats()
+	engineLedger(t, "ingest hammer", ds)
+	if ds.Frames != st.Frames {
+		t.Errorf("distiller counted %d frames, engine accepted %d", ds.Frames, st.Frames)
 	}
 }
 

@@ -75,8 +75,8 @@ type ShardedEngine struct {
 
 	// restoredStats/restoredDstats carry a restored portable checkpoint's
 	// folded counters: Stats folds restoredStats in (with the fields that
-	// live state re-counts zeroed — see RestoreSnapshot) and the next
-	// Snapshot folds restoredDstats into the mined distiller stats.
+	// live state re-counts zeroed — see RestoreSnapshot) and
+	// DistillerStats folds restoredDstats in.
 	// Written only by RestoreSnapshot, which requires a fresh engine.
 	restoredStats  EngineStats
 	restoredDstats DistillerStats
@@ -117,6 +117,17 @@ type ShardedEngine struct {
 
 	frames           atomic.Uint64
 	framesAfterClose atomic.Uint64
+
+	// absorbed books the distiller ledger's frame-level fields for the
+	// frames the router keeps from every shard: undecodable frames,
+	// unclaimed traffic, buffered IP fragments and TCP segments (shards
+	// receive the extracted messages instead). A fragment group that
+	// completes and ships is taken back out, because the shard's
+	// distiller counts its frames again. Written under mu, read lock-free
+	// by DistillerStats.
+	absorbed struct {
+		frames, fragments, decodeError, ignored, streamed atomic.Int64
+	}
 
 	// Router-side Limits eviction counters (incremented under mu, read
 	// lock-free by Stats).
@@ -304,10 +315,11 @@ type shardItem struct {
 	ip      netip.Addr
 	session string
 	ack     chan struct{}
-	// snap receives the worker's serialized state (itemSnapshot); restore
-	// carries decoded state to install (itemRestore). Both are checkpoint
-	// markers, acked like flush/inspect.
-	snap    *[]byte
+	// snap receives the worker's exported body (itemSnapshot; left nil by
+	// a quarantined shard); restore carries a bound body to install
+	// (itemRestore). Both are checkpoint markers, acked like
+	// flush/inspect.
+	snap    **rawEngineBody
 	restore *workerRestore
 	// rules and dropped carry a live ruleset reload (itemReload): the new
 	// ruleset to install and the shared counter of dropped partial
@@ -365,10 +377,12 @@ type shardWorker struct {
 	trimmedA  int // rule-engine alert evictions mirrored into alertTags
 	trimmedE  int // event-log evictions mirrored into eventTags
 	base      shardResults
-	// lastEngineSnap is the engine-body blob from the most recent
-	// checkpoint (taken or restored), kept for warm restarts: when
-	// RestartFailedShards replaces a panicked engine, the fresh one is
-	// rehydrated from this instead of starting blind. Worker-private.
+	// lastEngineSnap is the encoded engine body from the most recent
+	// checkpoint (taken or restored) or rolling restart, kept for warm
+	// restarts: when RestartFailedShards replaces a panicked engine, the
+	// fresh one is rehydrated from this instead of starting blind. It is
+	// the one body kept as bytes, a deep copy that outlives the engine
+	// that wrote it. Worker-private.
 	lastEngineSnap []byte
 	pubVer         int // rules.version at last alert publish
 	pubEvict       int // engine EventsEvicted mirrored into pub
@@ -660,14 +674,21 @@ func (s *ShardedEngine) expireLocked(at time.Duration) {
 func (s *ShardedEngine) routeLocked(idx uint64, at time.Duration, frame []byte) {
 	ef, err := packet.UnmarshalEthernet(frame)
 	if err != nil || ef.Type != packet.EtherTypeIPv4 {
+		s.absorb(&s.absorbed.decodeError)
 		return
 	}
 	iph, ipPayload, err := packet.UnmarshalIPv4(ef.Payload)
 	if err != nil {
+		s.absorb(&s.absorbed.decodeError)
 		return
 	}
 	body, group, done, err := s.frags.insert(s.reasm, &iph, ipPayload, at, frame)
-	if err != nil || !done {
+	if err != nil {
+		s.absorb(&s.absorbed.decodeError)
+		return
+	}
+	if !done {
+		s.absorb(&s.absorbed.fragments)
 		return
 	}
 	if iph.Protocol == packet.ProtoTCP {
@@ -684,7 +705,12 @@ func (s *ShardedEngine) routeLocked(idx uint64, at time.Duration, frame []byte) 
 // decoded datagram against the directory and queues the frame — or the
 // fragment group it completed — for its shard.
 func (s *ShardedEngine) shipDigestLocked(idx uint64, d *ingDigest, group []routedFrame) {
-	if d.kind != ingDatagram {
+	switch d.kind {
+	case ingClock:
+		s.absorb(&s.absorbed.ignored)
+		return
+	case ingBadUDP:
+		s.absorb(&s.absorbed.decodeError)
 		return
 	}
 	routeKey, hints := s.classifyDigestLocked(d, "")
@@ -693,6 +719,9 @@ func (s *ShardedEngine) shipDigestLocked(idx uint64, d *ingDigest, group []route
 		s.appendItemLocked(shard, shardItem{kind: itemFrame, idx: idx, at: d.at, frame: d.frame, hints: hints})
 		return
 	}
+	// The shard's distiller re-counts the group's buffered fragments.
+	s.absorbed.frames.Add(-int64(len(group)))
+	s.absorbed.fragments.Add(-int64(len(group)))
 	group = append(group, routedFrame{at: d.at, frame: d.frame})
 	s.appendItemLocked(shard, shardItem{kind: itemGroup, idx: idx, group: group, hints: hints})
 }
@@ -781,11 +810,14 @@ func (s *ShardedEngine) classifySIPMsgLocked(at time.Duration, src, dst netip.Ad
 func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, srcIP, dstIP netip.Addr, seg []byte) {
 	th, payload, err := packet.PeekTCP(srcIP, dstIP, seg)
 	if err != nil {
+		s.absorb(&s.absorbed.decodeError)
 		return
 	}
 	if proto, claimed := claimPortOf(s.correlators, th.SrcPort, th.DstPort); !claimed || proto != ProtoSIP {
+		s.absorb(&s.absorbed.ignored)
 		return
 	}
+	s.absorb(&s.absorbed.streamed)
 	src := netip.AddrPortFrom(srcIP, th.SrcPort)
 	dst := netip.AddrPortFrom(dstIP, th.DstPort)
 	s.streams.push(at, src, dst, th, payload)
@@ -804,6 +836,13 @@ func (s *ShardedEngine) routeStreamLocked(idx uint64, at time.Duration, srcIP, d
 	}
 	s.appendItemLocked(shardOf(flowKey, len(s.workers)),
 		shardItem{kind: itemStream, idx: idx, at: at, msgs: ship})
+}
+
+// absorb books one frame the router keeps from every shard under the
+// distiller-ledger counter it terminates in.
+func (s *ShardedEngine) absorb(terminal *atomic.Int64) {
+	s.absorbed.frames.Add(1)
+	terminal.Add(1)
 }
 
 // classifyRTPSeqLocked is the stateful half of RTP classification: only
@@ -1137,7 +1176,7 @@ func (s *ShardedEngine) ReloadRules(rules []Rule) (int, error) {
 // RollingRestart restarts every healthy shard's engine one at a time,
 // warm: each shard is drained to a quiescent point by a restart marker
 // (everything routed to it before the marker is processed first), its
-// detection state is serialized, and a fresh engine is rehydrated from
+// detection state is exported, and a fresh engine is rehydrated from
 // that state before the next shard starts. Frames keep flowing to the
 // other shards throughout, and the restarted shard's outputs are
 // indistinguishable from an uninterrupted run. After each shard comes
@@ -1271,17 +1310,25 @@ func (s *ShardedEngine) Stats() EngineStats {
 	return st
 }
 
-// DistillerStats returns the summed classification counters of every
-// shard's distiller (plus any restored checkpoint's folded history). The
-// router drops traffic no correlator claims and frames that fail
-// link/IP/UDP decode before any shard distiller sees them, so Ignored
-// and DecodeError cover only shipped traffic here; the classification
-// counters (SIP/RTP/RTCP/Acct/Raw/Mismatched) account every frame that
-// reached a shard, matching the serial engine's counts for the same
-// input. Like Stats, it reads published snapshots and never blocks on a
-// shard.
+// DistillerStats returns the distiller counters of the whole pipeline:
+// the frame-level fields (Frames, Fragments, DecodeError, Ignored,
+// Streamed) of the frames the router absorbs, plus every shard
+// distiller's counters for the frames and stream messages shipped to it,
+// plus any restored checkpoint's folded history. Each frame is counted
+// once, where it terminates, so for the same input the result equals the
+// serial engine's DistillerStats at any shards × ingest geometry, and the
+// ledger Frames + StreamMsgs == Σ terminal counters holds (frames shed
+// under ShedAfter are in neither side). Like Stats, it reads published
+// snapshots and atomics and never blocks on a shard.
 func (s *ShardedEngine) DistillerStats() DistillerStats {
-	var st DistillerStats
+	a := &s.absorbed
+	st := DistillerStats{
+		Frames:      int(a.frames.Load()),
+		Fragments:   int(a.fragments.Load()),
+		DecodeError: int(a.decodeError.Load()),
+		Ignored:     int(a.ignored.Load()),
+		Streamed:    int(a.streamed.Load()),
+	}
 	for _, w := range s.workers {
 		w.resMu.Lock()
 		st = addDistillerStats(st, w.pub.dstats)
@@ -1788,25 +1835,24 @@ func (w *shardWorker) restartEngine(at time.Duration) {
 }
 
 // rollEngine restarts the worker's engine warm at a quiescent point
-// (RollingRestart): the current engine body is serialized, a fresh
-// engine is built against the live ruleset and rehydrated from it, and
-// the pipelines are swapped with outputs intact — published results,
-// merge tags and the fault-injection ordinal all carry over, so the
-// shard's output stream is indistinguishable from an uninterrupted run.
-// If the body fails to decode, the old engine keeps running: a rolling
-// restart never trades a healthy shard for a cold one.
+// (RollingRestart): the current engine body is exported, a fresh engine
+// is built against the live ruleset and the body bound to it, and the
+// pipelines are swapped with outputs intact — published results, merge
+// tags and the fault-injection ordinal all carry over, so the shard's
+// output stream is indistinguishable from an uninterrupted run. If the
+// body fails to bind, the old engine keeps running: a rolling restart
+// never trades a healthy shard for a cold one.
 func (w *shardWorker) rollEngine() {
-	var body snapWriter
-	w.eng.writeSnapBody(&body)
+	body := w.eng.exportBody(w.eng.stats)
 	fresh := w.owner.newShardEngine()
-	snap, err := fresh.decodeSnapBodyBytes(body.buf)
+	snap, err := fresh.bindBody(body)
 	if err != nil {
 		return
 	}
+	w.lastEngineSnap = encodeBody(&body)
 	w.eng = fresh
 	w.owner.wireWorker(w)
 	w.eng.installSnap(snap, true)
-	w.lastEngineSnap = body.buf
 	w.owner.shardsRestarted.Add(1)
 }
 

@@ -44,6 +44,7 @@ func TestShardedEngineRace(t *testing.T) {
 				switch r % 3 {
 				case 0:
 					_ = eng.Stats()
+					_ = eng.DistillerStats()
 				case 1:
 					_ = eng.Alerts()
 				default:
@@ -78,5 +79,12 @@ func TestShardedEngineRace(t *testing.T) {
 	}
 	if len(eng.Alerts()) == 0 {
 		t.Fatal("expected alerts from attack scenarios")
+	}
+	// Router-absorbed and shard-processed frames are counted on different
+	// goroutines; after Flush every accepted frame is in the ledger once.
+	ds := eng.DistillerStats()
+	engineLedger(t, "hammer", ds)
+	if ds.Frames != st.Frames {
+		t.Errorf("distiller counted %d frames, engine accepted %d", ds.Frames, st.Frames)
 	}
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -18,40 +21,45 @@ import (
 // detection pipeline. A snapshot is a versioned, self-describing byte
 // stream: a header binding the snapshot to the exact configuration that
 // produced it (config hash, ruleset hash, correlator list), a body holding
-// every piece of accumulated detection state, and a trailing checksum.
-// Encoding is hand-rolled fixed-width big-endian with every map walked in
-// sorted key order, so the same engine state always produces the same
-// bytes (the snapshot-format golden test pins this; gob was rejected
-// because map iteration order leaks into its output).
+// every piece of accumulated detection state, the router sections
+// (sticky session → route key pins, buffered fragment groups, TCP stream
+// state), and a trailing checksum. Encoding is hand-rolled fixed-width
+// big-endian with every map walked in sorted key order, so the same
+// engine state always produces the same bytes (the snapshot-format golden
+// test pins this; gob was rejected because map iteration order leaks into
+// its output).
 //
-// Format v4 extends v3 with the stream-transport section (TCP reassembly
-// buffers plus per-direction SIP framing prefixes) so a checkpoint taken
-// mid-message resumes byte-identically; it is otherwise the v3 layout.
+// The body has one in-memory form, rawEngineBody, and one codec:
+// writeEngineBody encodes it and parseEngineBody decodes it. The serial
+// engine exports its live state into a body and encodes that; each shard
+// worker exports its own, and the sharded writer concatenates those into
+// one global body before encoding; restore parses the global body and,
+// on the sharded engine, splits it by session across the current shards.
+// The only body that is encoded and parsed again inside the process is a
+// shard's warm-restart cache, a deep copy that must outlive its engine.
 //
-// Format v3 is portable across engine geometry: the body is keyed by
-// session, not by shard. Both engine kinds write the same global layout —
-// one folded stats block, one session index, one rule-engine section, one
-// merged alert/event stream, plus the routing directory (sticky session →
-// route key pins) and buffered in-progress fragment groups — and restore
-// re-routes every session through the restoring engine's own router
-// config. A checkpoint captured serial or at 8 shards × 2 ingesters
-// resumes at any shards × ingest combination, in either engine kind; the
-// engine kind, shard count and ingest width recorded in the header are
-// informational only.
+// The format is portable across engine geometry (v3): the body is keyed
+// by session, not by shard, and restore re-routes every session through
+// the restoring engine's own router config. A checkpoint captured serial
+// or at 8 shards × 2 ingesters resumes at any shards × ingest
+// combination, in either engine kind, and the same logical state encodes
+// to the same body bytes at any geometry; the engine kind, shard count
+// and ingest width recorded in the header are informational only. v4
+// added the stream-transport section (TCP reassembly buffers plus
+// per-direction SIP framing prefixes) so a checkpoint taken mid-message
+// resumes byte-identically, v5 the classification-ledger fields, and v6
+// the cooperative layer: events carry their capture point, and the
+// rule-engine section adds the absence machinery (pending graced alerts
+// plus the absent-event lookback table) so an aggregator checkpoint
+// taken mid-grace matures or cancels identically after restore.
 //
-// Restore is strictly decode-validate-install: the entire body is decoded
-// into intermediate structures (correlator state included, via the
-// snapshotter capability's two-phase decode) and only if every section
-// decodes cleanly is any engine state mutated. A corrupt, truncated or
-// mismatched checkpoint therefore returns an error and leaves the engine
-// exactly as it was — never partially restored (FuzzSnapshotDecode holds
-// the decoder to this).
-
-// Format v6 extends v5 with the cooperative layer: events carry their
-// capture point, and the rule-engine section adds the absence machinery
-// (pending graced alerts plus the absent-event lookback table) so an
-// aggregator checkpoint taken mid-grace matures or cancels identically
-// after restore.
+// Restore is strictly decode-validate-install: the entire checkpoint is
+// decoded into intermediate structures (correlator state included, via
+// the snapshotter capability's two-phase decode) and only if every
+// section decodes cleanly is any engine state mutated. A corrupt,
+// truncated or mismatched checkpoint therefore returns an error and
+// leaves the engine exactly as it was — never partially restored
+// (FuzzSnapshotDecode holds the decoder to this).
 
 const (
 	snapMagic   = "SCDV"
@@ -316,6 +324,15 @@ func writeSnapHeader(w *snapWriter, h snapHeader) {
 	}
 }
 
+// retiredSnapVersions names the earlier formats a checkpoint may still
+// carry, so rejecting one says which era wrote it.
+var retiredSnapVersions = map[uint8]string{
+	2: "fixed-geometry, pre-portable",
+	3: "pre-stream-transport",
+	4: "pre-classification-ledger",
+	5: "pre-cooperative",
+}
+
 func readSnapHeader(r *snapReader) snapHeader {
 	var h snapHeader
 	magic := r.take(len(snapMagic))
@@ -327,14 +344,8 @@ func readSnapHeader(r *snapReader) snapHeader {
 		return h
 	}
 	if v := r.u8(); r.err == nil && v != snapVersion {
-		if v == 2 {
-			r.fail("core: checkpoint is format v2 (fixed-geometry, pre-portable); this build reads only v6 checkpoints — re-capture a checkpoint with this build")
-		} else if v == 3 {
-			r.fail("core: checkpoint is format v3 (pre-stream-transport); this build reads only v6 checkpoints — re-capture a checkpoint with this build")
-		} else if v == 4 {
-			r.fail("core: checkpoint is format v4 (pre-classification-ledger); this build reads only v6 checkpoints — re-capture a checkpoint with this build")
-		} else if v == 5 {
-			r.fail("core: checkpoint is format v5 (pre-cooperative); this build reads only v6 checkpoints — re-capture a checkpoint with this build")
+		if era, known := retiredSnapVersions[v]; known {
+			r.fail("core: checkpoint is format v%d (%s); this build reads only v%d checkpoints — re-capture a checkpoint with this build", v, era, snapVersion)
 		} else {
 			r.fail("core: unsupported checkpoint format version %d (this build reads version %d); re-capture a checkpoint with this build", v, snapVersion)
 		}
@@ -523,51 +534,41 @@ func readAlerts(r *snapReader) []Alert {
 	return out
 }
 
-func writeEngineStats(w *snapWriter, st EngineStats) {
-	for _, v := range []int{
-		st.Frames, st.Footprints, st.Events, st.Alerts, st.SessionsEvicted,
-		st.FramesAfterClose, st.FramesShed, st.BatchesShed,
-		st.SessionsCapEvicted, st.FragGroupsEvicted, st.StreamsEvicted,
-		st.IMHistoriesEvicted,
-		st.SeqTrackersEvicted, st.BindingsEvicted, st.AlertsEvicted,
-		st.EventsEvicted, st.ShardsFailed, st.ShardsRestarted,
-	} {
-		w.vint(v)
-	}
-}
-
-func readEngineStats(r *snapReader) EngineStats {
-	var st EngineStats
-	for _, p := range []*int{
+// fields lists the stats block's counters in checkpoint order.
+func (st *EngineStats) fields() []*int {
+	return []*int{
 		&st.Frames, &st.Footprints, &st.Events, &st.Alerts, &st.SessionsEvicted,
 		&st.FramesAfterClose, &st.FramesShed, &st.BatchesShed,
 		&st.SessionsCapEvicted, &st.FragGroupsEvicted, &st.StreamsEvicted,
 		&st.IMHistoriesEvicted,
 		&st.SeqTrackersEvicted, &st.BindingsEvicted, &st.AlertsEvicted,
 		&st.EventsEvicted, &st.ShardsFailed, &st.ShardsRestarted,
-	} {
+	}
+}
+
+// fields lists the distiller ledger's counters in checkpoint order.
+func (st *DistillerStats) fields() []*int {
+	return []*int{&st.Frames, &st.Fragments, &st.DecodeError, &st.SIP, &st.RTP, &st.RTCP, &st.Acct, &st.Raw, &st.Ignored, &st.Mismatched, &st.Streamed, &st.StreamMsgs}
+}
+
+func writeCounters(w *snapWriter, fields []*int) {
+	for _, p := range fields {
+		w.vint(*p)
+	}
+}
+
+func readCounters(r *snapReader, fields []*int) {
+	for _, p := range fields {
 		*p = r.vint()
 	}
-	return st
 }
 
-func writeDistillerStats(w *snapWriter, st DistillerStats) {
-	for _, v := range []int{st.Frames, st.Fragments, st.DecodeError, st.SIP, st.RTP, st.RTCP, st.Acct, st.Raw, st.Ignored, st.Mismatched, st.Streamed, st.StreamMsgs} {
-		w.vint(v)
-	}
-}
+// --- body sections ---
+//
+// Each section of the engine body (rawEngineBody, below) has one
+// exporter from live state, one writer and one reader.
 
-func readDistillerStats(r *snapReader) DistillerStats {
-	var st DistillerStats
-	for _, p := range []*int{&st.Frames, &st.Fragments, &st.DecodeError, &st.SIP, &st.RTP, &st.RTCP, &st.Acct, &st.Raw, &st.Ignored, &st.Mismatched, &st.Streamed, &st.StreamMsgs} {
-		*p = r.vint()
-	}
-	return st
-}
-
-// --- session index ---
-
-// sessionSnap is the decoded form of one sessionState.
+// sessionSnap is the body form of one sessionState.
 type sessionSnap struct {
 	st             sessionState
 	guessResponses []string
@@ -578,15 +579,36 @@ type indexSnap struct {
 	pendingReg [][2]string
 }
 
-func writeSessionIndex(w *snapWriter, x *sessionIndex) {
-	ids := make([]string, 0, len(x.sessions))
-	for id := range x.sessions {
-		ids = append(ids, id)
+// exportIndex copies a live session index into its body form.
+func exportIndex(x *sessionIndex) indexSnap {
+	snap := indexSnap{
+		sessions:   make([]sessionSnap, 0, len(x.sessions)),
+		pendingReg: make([][2]string, 0, len(x.pendingReg)),
 	}
-	sort.Strings(ids)
-	w.u32(uint32(len(ids)))
-	for _, id := range ids {
-		st := x.sessions[id]
+	for _, st := range x.sessions {
+		s := sessionSnap{st: *st}
+		for g := range st.guessResponses {
+			s.guessResponses = append(s.guessResponses, g)
+		}
+		snap.sessions = append(snap.sessions, s)
+	}
+	for id, aor := range x.pendingReg {
+		snap.pendingReg = append(snap.pendingReg, [2]string{id, aor})
+	}
+	return snap
+}
+
+// writeIndexSnap serializes a session index sorted by Call-ID. It sorts
+// pointers, not the sessionState values themselves.
+func writeIndexSnap(w *snapWriter, snap indexSnap) {
+	order := make([]*sessionSnap, len(snap.sessions))
+	for i := range snap.sessions {
+		order[i] = &snap.sessions[i]
+	}
+	slices.SortFunc(order, func(a, b *sessionSnap) int { return strings.Compare(a.st.callID, b.st.callID) })
+	w.u32(uint32(len(order)))
+	for _, s := range order {
+		st := &s.st
 		w.str(st.callID)
 		w.dur(st.lastSeen)
 		w.bool(st.established)
@@ -613,10 +635,7 @@ func writeSessionIndex(w *snapWriter, x *sessionIndex) {
 		w.bool(st.isRegistration)
 		w.vint(st.challenges)
 		w.bool(st.floodFired)
-		guesses := make([]string, 0, len(st.guessResponses))
-		for g := range st.guessResponses {
-			guesses = append(guesses, g)
-		}
+		guesses := append([]string(nil), s.guessResponses...)
 		sort.Strings(guesses)
 		w.u32(uint32(len(guesses)))
 		for _, g := range guesses {
@@ -624,15 +643,12 @@ func writeSessionIndex(w *snapWriter, x *sessionIndex) {
 		}
 		w.bool(st.guessFired)
 	}
-	regs := make([]string, 0, len(x.pendingReg))
-	for id := range x.pendingReg {
-		regs = append(regs, id)
-	}
-	sort.Strings(regs)
+	regs := append([][2]string(nil), snap.pendingReg...)
+	sort.Slice(regs, func(i, j int) bool { return regs[i][0] < regs[j][0] })
 	w.u32(uint32(len(regs)))
-	for _, id := range regs {
-		w.str(id)
-		w.str(x.pendingReg[id])
+	for _, reg := range regs {
+		w.str(reg[0])
+		w.str(reg[1])
 	}
 }
 
@@ -710,8 +726,9 @@ func installSessionIndex(x *sessionIndex, snap indexSnap) {
 
 // --- reassembler ---
 
-func writeReassembly(w *snapWriter, reasm *packet.Reassembler) {
-	streams := reasm.ExportStreams()
+// writeFragStreams serializes IP reassembly buffers in their exported
+// form (packet.Reassembler.ExportStreams sorts them by fragment identity).
+func writeFragStreams(w *snapWriter, streams []packet.FragStream, evicted int) {
 	w.u32(uint32(len(streams)))
 	for _, s := range streams {
 		w.addr(s.ID.Src)
@@ -723,10 +740,10 @@ func writeReassembly(w *snapWriter, reasm *packet.Reassembler) {
 		w.vint(s.TotalLen)
 		w.dur(s.First)
 	}
-	w.vint(reasm.CapacityEvicted())
+	w.vint(evicted)
 }
 
-func readReassembly(r *snapReader) ([]packet.FragStream, int) {
+func readFragStreams(r *snapReader) ([]packet.FragStream, int) {
 	n := r.count()
 	var streams []packet.FragStream
 	for i := 0; i < n && r.err == nil; i++ {
@@ -748,51 +765,81 @@ func readReassembly(r *snapReader) ([]packet.FragStream, int) {
 
 // --- rule engine ---
 
-type partialSnap struct {
-	rule      string
-	session   string
-	startedAt time.Duration
-	events    []Event
-	next      int
-	matched   []bool
-	remaining int
-}
-
-type pendingSnap struct {
-	key         string // ruleName|corrKey
-	completedAt time.Duration
-	deadline    time.Duration
-	alert       Alert
-}
-
+// ruleSnap is the body form of a RuleEngine's state. Partial matches and
+// pending absence alerts are grouped by their rule|key, in the engine's
+// within-key order; a group is never empty.
 type ruleSnap struct {
-	partials   []partialSnap
+	partials   map[string][]partial // rule|session
 	alerts     []Alert
-	dedupKeys  []string
-	dedupIdx   []int
+	dedup      map[string]int
 	dedupBase  int
 	evicted    int
 	version    int
 	eventsSeen int
-	pendings   []pendingSnap
-	lastKeys   []string // absent-lookback keys, sorted
-	lastAt     []time.Duration
+	pendings   map[string][]pendingAlert // rule|correlation key
+	lastAbsent map[string]time.Duration
 }
 
-func writeRuleEngine(w *snapWriter, re *RuleEngine) {
-	keys := make([]string, 0, len(re.partials))
+// newRuleSnap returns an empty ruleSnap ready to fill.
+func newRuleSnap() ruleSnap {
+	return ruleSnap{
+		partials:   make(map[string][]partial),
+		dedup:      make(map[string]int),
+		pendings:   make(map[string][]pendingAlert),
+		lastAbsent: make(map[string]time.Duration),
+	}
+}
+
+// exportRules copies a live rule engine's state into its body form.
+func exportRules(re *RuleEngine) ruleSnap {
+	snap := ruleSnap{
+		partials:   make(map[string][]partial, len(re.partials)),
+		alerts:     re.alerts,
+		dedup:      re.dedup,
+		dedupBase:  re.dedupBase,
+		evicted:    re.evicted,
+		version:    re.version,
+		eventsSeen: re.EventsSeen,
+		pendings:   make(map[string][]pendingAlert, len(re.pendings)),
+		lastAbsent: re.lastAbsent,
+	}
 	for k, parts := range re.partials {
-		if len(parts) > 0 {
-			keys = append(keys, k)
+		for _, p := range parts {
+			snap.partials[k] = append(snap.partials[k], *p)
 		}
 	}
+	for k, pend := range re.pendings {
+		for _, p := range pend {
+			snap.pendings[k] = append(snap.pendings[k], *p)
+		}
+	}
+	return snap
+}
+
+// sortedKeys returns a map's keys in sorted order, the order every keyed
+// checkpoint section is written in.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
 	sort.Strings(keys)
+	return keys
+}
+
+// writeRuleSnap serializes rule-engine state: partials grouped by
+// rule|session key (keys sorted, within-key order preserved), the
+// retained alerts, the dedup table, the counters, then the
+// absence machinery (v6) — pending graced alerts grouped like the
+// partials, and the absent-event lookback table.
+func writeRuleSnap(w *snapWriter, snap ruleSnap) {
+	keys := sortedKeys(snap.partials)
 	w.u32(uint32(len(keys)))
 	for _, k := range keys {
 		rule, session, _ := strings.Cut(k, "|")
 		w.str(rule)
 		w.str(session)
-		parts := re.partials[k]
+		parts := snap.partials[k]
 		w.u32(uint32(len(parts)))
 		for _, p := range parts {
 			w.dur(p.startedAt)
@@ -802,38 +849,22 @@ func writeRuleEngine(w *snapWriter, re *RuleEngine) {
 			w.vint(p.remaining)
 		}
 	}
-	writeAlerts(w, re.alerts)
-	dk := make([]string, 0, len(re.dedup))
-	for k := range re.dedup {
-		dk = append(dk, k)
-	}
-	sort.Strings(dk)
+	writeAlerts(w, snap.alerts)
+	dk := sortedKeys(snap.dedup)
 	w.u32(uint32(len(dk)))
 	for _, k := range dk {
 		w.str(k)
-		w.vint(re.dedup[k])
+		w.vint(snap.dedup[k])
 	}
-	w.vint(re.dedupBase)
-	w.vint(re.evicted)
-	w.vint(re.version)
-	w.vint(re.EventsSeen)
-	writeAbsentState(w, re)
-}
-
-// writeAbsentState serializes the absence machinery (v6): pending graced
-// alerts grouped by rule|key, then the absent-event lookback table.
-func writeAbsentState(w *snapWriter, re *RuleEngine) {
-	pk := make([]string, 0, len(re.pendings))
-	for k, pend := range re.pendings {
-		if len(pend) > 0 {
-			pk = append(pk, k)
-		}
-	}
-	sort.Strings(pk)
+	w.vint(snap.dedupBase)
+	w.vint(snap.evicted)
+	w.vint(snap.version)
+	w.vint(snap.eventsSeen)
+	pk := sortedKeys(snap.pendings)
 	w.u32(uint32(len(pk)))
 	for _, k := range pk {
 		w.str(k)
-		pend := re.pendings[k]
+		pend := snap.pendings[k]
 		w.u32(uint32(len(pend)))
 		for _, p := range pend {
 			w.dur(p.completedAt)
@@ -841,43 +872,31 @@ func writeAbsentState(w *snapWriter, re *RuleEngine) {
 			writeAlert(w, p.alert)
 		}
 	}
-	lk := make([]string, 0, len(re.lastAbsent))
-	for k := range re.lastAbsent {
-		lk = append(lk, k)
-	}
-	sort.Strings(lk)
+	lk := sortedKeys(snap.lastAbsent)
 	w.u32(uint32(len(lk)))
 	for _, k := range lk {
 		w.str(k)
-		w.dur(re.lastAbsent[k])
+		w.dur(snap.lastAbsent[k])
 	}
 }
 
-// readRuleEngine decodes rule-matching state. With a non-nil ruleset,
-// partial-match shapes are validated against it so a decoded snapshot can
-// never index out of a rule's step list; with rules nil (the sharded
-// writer mining its own workers' trusted blobs) shape validation is
-// skipped because the blobs never crossed a process boundary.
+// readRuleEngine decodes rule-matching state, validating partial-match
+// and pending-alert shapes against the ruleset so a decoded snapshot can
+// never index out of a rule's step list.
 func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
-	var snap ruleSnap
+	snap := newRuleSnap()
 	nk := r.count()
 	for i := 0; i < nk && r.err == nil; i++ {
 		rule := r.strv()
-		session := r.strv()
-		var target Rule
-		if rules != nil {
-			var known bool
-			target, known = RuleByName(rules, rule)
-			if r.err == nil && !known {
-				r.fail("core: snapshot references unknown rule %q (ruleset hash should have caught this)", rule)
-				break
-			}
+		key := rule + "|" + r.strv()
+		target, known := RuleByName(rules, rule)
+		if r.err == nil && !known {
+			r.fail("core: snapshot references unknown rule %q (ruleset hash should have caught this)", rule)
+			break
 		}
 		np := r.count()
 		for j := 0; j < np && r.err == nil; j++ {
-			p := partialSnap{
-				rule:      rule,
-				session:   session,
+			p := partial{
 				startedAt: r.dur(),
 				events:    readEvents(r),
 				next:      r.vint(),
@@ -886,10 +905,6 @@ func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
 			}
 			if r.err != nil {
 				break
-			}
-			if rules == nil {
-				snap.partials = append(snap.partials, p)
-				continue
 			}
 			steps := len(target.Steps)
 			if target.Unordered {
@@ -906,14 +921,14 @@ func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
 				r.fail("core: snapshot corrupt (partial for rule %q holds %d events for %d steps)", rule, len(p.events), steps)
 				break
 			}
-			snap.partials = append(snap.partials, p)
+			snap.partials[key] = append(snap.partials[key], p)
 		}
 	}
 	snap.alerts = readAlerts(r)
 	nd := r.count()
 	for i := 0; i < nd && r.err == nil; i++ {
-		snap.dedupKeys = append(snap.dedupKeys, r.strv())
-		snap.dedupIdx = append(snap.dedupIdx, r.vint())
+		k := r.strv()
+		snap.dedup[k] = r.vint()
 	}
 	snap.dedupBase = r.vint()
 	snap.evicted = r.vint()
@@ -922,7 +937,7 @@ func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
 	np := r.count()
 	for i := 0; i < np && r.err == nil; i++ {
 		key := r.strv()
-		if rules != nil && r.err == nil {
+		if r.err == nil {
 			name, _, _ := strings.Cut(key, "|")
 			target, known := RuleByName(rules, name)
 			if !known {
@@ -936,22 +951,22 @@ func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
 		}
 		nn := r.count()
 		for j := 0; j < nn && r.err == nil; j++ {
-			ps := pendingSnap{key: key, completedAt: r.dur(), deadline: r.dur(), alert: readAlert(r)}
-			if r.err == nil && ps.deadline < ps.completedAt {
+			p := pendingAlert{completedAt: r.dur(), deadline: r.dur(), alert: readAlert(r)}
+			if r.err == nil && p.deadline < p.completedAt {
 				r.fail("core: snapshot corrupt (pending absence alert for %q matures before it completed)", key)
 				break
 			}
-			snap.pendings = append(snap.pendings, ps)
+			snap.pendings[key] = append(snap.pendings[key], p)
 		}
 	}
 	nl := r.count()
 	for i := 0; i < nl && r.err == nil; i++ {
-		snap.lastKeys = append(snap.lastKeys, r.strv())
-		snap.lastAt = append(snap.lastAt, r.dur())
+		k := r.strv()
+		snap.lastAbsent[k] = r.dur()
 	}
 	if r.err == nil {
-		for i, k := range snap.dedupKeys {
-			idx := snap.dedupIdx[i] - snap.dedupBase
+		for _, k := range sortedKeys(snap.dedup) {
+			idx := snap.dedup[k] - snap.dedupBase
 			if idx < 0 || idx >= len(snap.alerts) {
 				r.fail("core: snapshot corrupt (dedup entry %q points at alert %d of %d)", k, idx, len(snap.alerts))
 				return snap
@@ -966,58 +981,41 @@ func readRuleEngine(r *snapReader, rules []Rule) ruleSnap {
 	return snap
 }
 
-// installRuleEngine replaces rule-matching state. With outputs false only
-// the in-progress partial matches are restored (warm shard restart: the
-// failed engine's published alerts were already folded into the worker's
-// base, so restoring them here would double-count).
+// installRuleEngine replaces rule-matching state with fresh copies of the
+// snapshot's tables. With outputs false only the in-progress partial
+// matches are restored (warm shard restart: the failed engine's
+// published alerts were already folded into the worker's base, so
+// restoring them here would double-count).
 func installRuleEngine(re *RuleEngine, snap ruleSnap, outputs bool) {
-	re.partials = make(map[string][]*partial)
-	for _, ps := range snap.partials {
-		key := ps.rule + "|" + ps.session
-		p := &partial{
-			startedAt: ps.startedAt,
-			events:    ps.events,
-			next:      ps.next,
-			matched:   ps.matched,
-			remaining: ps.remaining,
+	re.partials = make(map[string][]*partial, len(snap.partials))
+	for k, parts := range snap.partials {
+		for _, p := range parts {
+			re.partials[k] = append(re.partials[k], &p)
 		}
-		re.partials[key] = append(re.partials[key], p)
 	}
 	// The absence machinery is in-flight state like the partials, so it
 	// installs on the warm-restart path too.
-	re.pendings = make(map[string][]*pendingAlert)
-	for _, ps := range snap.pendings {
-		re.pendings[ps.key] = append(re.pendings[ps.key], &pendingAlert{
-			completedAt: ps.completedAt,
-			deadline:    ps.deadline,
-			alert:       ps.alert,
-		})
+	re.pendings = make(map[string][]*pendingAlert, len(snap.pendings))
+	for k, pend := range snap.pendings {
+		for _, p := range pend {
+			re.pendings[k] = append(re.pendings[k], &p)
+		}
 	}
-	re.lastAbsent = make(map[string]time.Duration, len(snap.lastKeys))
-	for i, k := range snap.lastKeys {
-		re.lastAbsent[k] = snap.lastAt[i]
-	}
+	re.lastAbsent = make(map[string]time.Duration, len(snap.lastAbsent))
+	maps.Copy(re.lastAbsent, snap.lastAbsent)
 	if !outputs {
 		return
 	}
 	re.alerts = snap.alerts
-	re.dedup = make(map[string]int, len(snap.dedupKeys))
-	for i, k := range snap.dedupKeys {
-		re.dedup[k] = snap.dedupIdx[i]
-	}
+	re.dedup = make(map[string]int, len(snap.dedup))
+	maps.Copy(re.dedup, snap.dedup)
 	re.dedupBase = snap.dedupBase
 	re.evicted = snap.evicted
 	re.version = snap.version
 	re.EventsSeen = snap.eventsSeen
 }
 
-// --- engine body ---
-
-type trailSnap struct {
-	session string
-	proto   Protocol
-	length  int
-}
+// --- correlator state ---
 
 // corrBlob is one correlator's private state in serialized form, not yet
 // bound to a correlator instance.
@@ -1026,37 +1024,7 @@ type corrBlob struct {
 	blob []byte
 }
 
-// rawEngineBody is a fully decoded engine body with correlator state still
-// in blob form. Nothing in it aliases any engine, so it can be split,
-// merged and re-serialized freely — the portable-snapshot writer folds
-// per-shard bodies into one global body through this type, and restore
-// splits a global body back into per-shard bodies.
-type rawEngineBody struct {
-	stats           EngineStats
-	dstats          DistillerStats
-	streams         []packet.FragStream
-	reasmEvicted    int
-	trails          []trailSnap
-	index           indexSnap
-	bindings        []string
-	bindingIPs      []netip.Addr
-	bindingAges     []int
-	bindingClock    int
-	evictedSessions int
-	evictedBindings int
-	corrs           []corrBlob
-	rules           ruleSnap
-	events          []Event
-}
-
-// engineSnap is a rawEngineBody whose correlator blobs have been decoded
-// against a concrete engine's correlator instances: ready to install.
-type engineSnap struct {
-	rawEngineBody
-	corrInstalls []func()
-}
-
-// snapshotterNames lists the correlators that carry checkpointable private
+// snapshotters lists the correlators that carry checkpointable private
 // state, in registry order.
 func snapshotters(correlators []Correlator) []Correlator {
 	var out []Correlator
@@ -1068,16 +1036,24 @@ func snapshotters(correlators []Correlator) []Correlator {
 	return out
 }
 
-// writeCorrelators serializes every snapshotter correlator's private state
-// as a named, length-prefixed blob.
-func writeCorrelators(w *snapWriter, correlators []Correlator) {
+// exportCorrs serializes every snapshotter correlator's private state as
+// a named blob, in registry order.
+func exportCorrs(correlators []Correlator) []corrBlob {
 	snaps := snapshotters(correlators)
-	w.u32(uint32(len(snaps)))
-	for _, c := range snaps {
-		w.str(c.Name())
+	out := make([]corrBlob, len(snaps))
+	for i, c := range snaps {
 		var cw snapWriter
 		c.(snapshotter).snapshotState(&cw)
-		w.bytes(cw.buf)
+		out[i] = corrBlob{name: c.Name(), blob: cw.buf}
+	}
+	return out
+}
+
+func writeCorrBlobs(w *snapWriter, blobs []corrBlob) {
+	w.u32(uint32(len(blobs)))
+	for _, cb := range blobs {
+		w.str(cb.name)
+		w.bytes(cb.blob)
 	}
 }
 
@@ -1090,15 +1066,6 @@ func readCorrelatorBlobs(r *snapReader) []corrBlob {
 		out = append(out, corrBlob{name: r.strv(), blob: r.bytesv()})
 	}
 	return out
-}
-
-// writeCorrBlobs re-serializes already-serialized correlator state.
-func writeCorrBlobs(w *snapWriter, blobs []corrBlob) {
-	w.u32(uint32(len(blobs)))
-	for _, cb := range blobs {
-		w.str(cb.name)
-		w.bytes(cb.blob)
-	}
 }
 
 // decodeCorrBlob decodes one correlator blob against one correlator
@@ -1137,68 +1104,153 @@ func buildCorrInstalls(correlators []Correlator, blobs []corrBlob) ([]func(), er
 	return installs, nil
 }
 
-// writeSnapBody serializes the serial engine's full pipeline state with
-// its raw (engine-local) stats block. The sharded engine reuses this per
-// shard for warm-restart blobs and as the mining source for the global
-// portable body.
-func (e *Engine) writeSnapBody(w *snapWriter) {
-	e.writeSnapBodyWithStats(w, e.stats)
+// --- engine body ---
+
+type trailSnap struct {
+	session string
+	proto   Protocol
+	length  int
 }
 
-// writeSnapBodyWithStats serializes the engine body with an explicit stats
-// block: the portable checkpoint writes the folded Stats() view (so the
-// block means the same thing whichever engine kind wrote it), while warm
-// shard blobs keep the raw per-shard counters.
-func (e *Engine) writeSnapBodyWithStats(w *snapWriter, st EngineStats) {
-	writeEngineStats(w, st)
-	writeDistillerStats(w, e.distiller.stats)
-	writeReassembly(w, e.distiller.reasm)
-	keys := make([]trailKey, 0, len(e.trails.trails))
-	for k := range e.trails.trails {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].session != keys[j].session {
-			return keys[i].session < keys[j].session
-		}
-		return keys[i].proto < keys[j].proto
-	})
-	w.u32(uint32(len(keys)))
-	for _, k := range keys {
-		w.str(k.session)
-		w.vint(int(k.proto))
-		w.vint(e.trails.trails[k].Len())
-	}
-	writeSessionIndex(w, e.gen.idx)
+// bindingSnap is one media binding with its LRU age.
+type bindingSnap struct {
+	aor string
+	ip  netip.Addr
+	age int
+}
+
+// rawEngineBody is the one in-memory form of an engine body, and every
+// checkpoint path meets in it: exportBody copies a live engine into it,
+// parseEngineBody decodes bytes into it, writeEngineBody — the only body
+// encoder — writes it, and bindBody binds it to an engine's correlators
+// for installSnap. Correlator state stays in blob form (the snapshotter
+// capability's own codec) until bindBody. Exported bodies share the
+// engine's retained alerts, events and partial-match slices rather than
+// copying them: a body is encoded or installed before its engine runs
+// again. Split, merged and parsed bodies alias no engine.
+type rawEngineBody struct {
+	stats           EngineStats
+	dstats          DistillerStats
+	streams         []packet.FragStream
+	reasmEvicted    int
+	trails          []trailSnap
+	index           indexSnap
+	bindings        []bindingSnap
+	bindingClock    int
+	evictedSessions int
+	evictedBindings int
+	corrs           []corrBlob
+	rules           ruleSnap
+	events          []Event
+}
+
+// engineSnap is a rawEngineBody whose correlator blobs have been decoded
+// against a concrete engine's correlator instances: ready to install.
+type engineSnap struct {
+	rawEngineBody
+	corrInstalls []func()
+}
+
+// exportBody copies the engine's pipeline state into its body form with
+// st as the stats block: the portable checkpoint passes the folded
+// Stats() view (so the block means the same thing whichever engine kind
+// wrote it), a shard passes its raw per-shard counters. The binding
+// clock and ages are the live ones; writeEngineBody canonicalizes them.
+func (e *Engine) exportBody(st EngineStats) rawEngineBody {
 	ctx := e.gen.ctx
-	aors := make([]string, 0, len(ctx.bindings))
-	for aor := range ctx.bindings {
-		aors = append(aors, aor)
+	body := rawEngineBody{
+		stats:           st,
+		dstats:          e.distiller.stats,
+		streams:         e.distiller.reasm.ExportStreams(),
+		reasmEvicted:    e.distiller.reasm.CapacityEvicted(),
+		trails:          make([]trailSnap, 0, len(e.trails.trails)),
+		index:           exportIndex(e.gen.idx),
+		bindings:        make([]bindingSnap, 0, len(ctx.bindings)),
+		bindingClock:    ctx.bindingClock,
+		evictedSessions: ctx.evictedSessions,
+		evictedBindings: ctx.evictedBindings,
+		corrs:           exportCorrs(e.gen.correlators),
+		rules:           exportRules(e.rules),
+		events:          e.events,
 	}
-	sort.Strings(aors)
-	canon := canonicalBindingAges(aors, func(aor string) int { return ctx.bindingAge[aor] })
-	w.u32(uint32(len(aors)))
-	for _, aor := range aors {
-		w.str(aor)
-		w.addr(ctx.bindings[aor])
-		w.vint(canon[aor])
+	for k, t := range e.trails.trails {
+		body.trails = append(body.trails, trailSnap{session: k.session, proto: k.proto, length: t.Len()})
 	}
-	w.vint(len(aors))
-	w.vint(ctx.evictedSessions)
-	w.vint(ctx.evictedBindings)
-	writeCorrelators(w, e.gen.correlators)
-	writeRuleEngine(w, e.rules)
-	writeEvents(w, e.events)
+	for aor, ip := range ctx.bindings {
+		body.bindings = append(body.bindings, bindingSnap{aor: aor, ip: ip, age: ctx.bindingAge[aor]})
+	}
+	return body
+}
+
+// writeEngineBody is the engine-body encoder. Determinism comes from
+// sorting every keyed section here rather than trusting input order; the
+// body's trails are sorted in place.
+//
+// Media-binding LRU ages are renumbered 1..n in (age, AOR) order, so the
+// checkpoint carries only the LRU ORDER, never the raw clock values —
+// those are geometry-dependent (each shard worker stamps with its own
+// clock), and only the order matters for eviction. The clock is written
+// as n, so post-restore insertions always age past every restored
+// binding. This is what keeps checkpoints of the same logical state
+// byte-identical across engine geometries.
+func writeEngineBody(w *snapWriter, body *rawEngineBody) {
+	writeCounters(w, body.stats.fields())
+	writeCounters(w, body.dstats.fields())
+	writeFragStreams(w, body.streams, body.reasmEvicted)
+	slices.SortFunc(body.trails, func(a, b trailSnap) int {
+		if c := strings.Compare(a.session, b.session); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.proto, b.proto)
+	})
+	w.u32(uint32(len(body.trails)))
+	for _, t := range body.trails {
+		w.str(t.session)
+		w.vint(int(t.proto))
+		w.vint(t.length)
+	}
+	writeIndexSnap(w, body.index)
+	binds := slices.Clone(body.bindings)
+	slices.SortFunc(binds, func(a, b bindingSnap) int {
+		if c := cmp.Compare(a.age, b.age); c != 0 {
+			return c
+		}
+		return strings.Compare(a.aor, b.aor)
+	})
+	for i := range binds {
+		binds[i].age = i + 1
+	}
+	slices.SortFunc(binds, func(a, b bindingSnap) int { return strings.Compare(a.aor, b.aor) })
+	w.u32(uint32(len(binds)))
+	for _, b := range binds {
+		w.str(b.aor)
+		w.addr(b.ip)
+		w.vint(b.age)
+	}
+	w.vint(len(binds))
+	w.vint(body.evictedSessions)
+	w.vint(body.evictedBindings)
+	writeCorrBlobs(w, body.corrs)
+	writeRuleSnap(w, body.rules)
+	writeEvents(w, body.events)
+}
+
+// encodeBody returns a body's encoding as a standalone byte slice: the
+// warm-restart cache, which must be a deep copy that outlives its engine.
+func encodeBody(body *rawEngineBody) []byte {
+	var w snapWriter
+	writeEngineBody(&w, body)
+	return w.buf
 }
 
 // parseEngineBody decodes an engine body into a rawEngineBody without
-// binding it to any engine: correlator state stays in blob form. With a
-// non-nil ruleset the rule-engine section is shape-validated against it.
+// binding it to any engine: correlator state stays in blob form and the
+// rule-engine section is shape-validated against rules.
 func parseEngineBody(r *snapReader, rules []Rule) rawEngineBody {
 	var body rawEngineBody
-	body.stats = readEngineStats(r)
-	body.dstats = readDistillerStats(r)
-	body.streams, body.reasmEvicted = readReassembly(r)
+	readCounters(r, body.stats.fields())
+	readCounters(r, body.dstats.fields())
+	body.streams, body.reasmEvicted = readFragStreams(r)
 	nt := r.count()
 	for i := 0; i < nt && r.err == nil; i++ {
 		body.trails = append(body.trails, trailSnap{
@@ -1210,9 +1262,7 @@ func parseEngineBody(r *snapReader, rules []Rule) rawEngineBody {
 	body.index = readSessionIndex(r)
 	nb := r.count()
 	for i := 0; i < nb && r.err == nil; i++ {
-		body.bindings = append(body.bindings, r.strv())
-		body.bindingIPs = append(body.bindingIPs, r.addrv())
-		body.bindingAges = append(body.bindingAges, r.vint())
+		body.bindings = append(body.bindings, bindingSnap{aor: r.strv(), ip: r.addrv(), age: r.vint()})
 	}
 	body.bindingClock = r.vint()
 	body.evictedSessions = r.vint()
@@ -1223,28 +1273,10 @@ func parseEngineBody(r *snapReader, rules []Rule) rawEngineBody {
 	return body
 }
 
-// parseEngineBodyBytes decodes a standalone engine-body blob into its raw
-// form, requiring every byte to be consumed.
-func parseEngineBodyBytes(blob []byte, rules []Rule) (rawEngineBody, error) {
-	r := &snapReader{buf: blob}
-	body := parseEngineBody(r, rules)
-	if r.err != nil {
-		return rawEngineBody{}, r.err
-	}
-	if !r.done() {
-		return rawEngineBody{}, fmt.Errorf("core: snapshot corrupt (%d trailing bytes in engine body)", r.remaining())
-	}
-	return body, nil
-}
-
-// decodeSnapBody decodes an engine body into an engineSnap without
-// mutating the engine. The engine is consulted only for its correlator
-// instances and ruleset (shape validation and install-closure targets).
-func (e *Engine) decodeSnapBody(r *snapReader) (*engineSnap, error) {
-	body := parseEngineBody(r, e.rules.rules)
-	if r.err != nil {
-		return nil, r.err
-	}
+// bindBody decodes a body's correlator blobs against the engine's
+// correlator instances without mutating the engine, yielding a body
+// ready for installSnap.
+func (e *Engine) bindBody(body rawEngineBody) (*engineSnap, error) {
 	installs, err := buildCorrInstalls(e.gen.correlators, body.corrs)
 	if err != nil {
 		return nil, err
@@ -1252,254 +1284,18 @@ func (e *Engine) decodeSnapBody(r *snapReader) (*engineSnap, error) {
 	return &engineSnap{rawEngineBody: body, corrInstalls: installs}, nil
 }
 
-// decodeSnapBodyBytes decodes a standalone engine-body blob (warm shard
-// restarts keep these in memory between checkpoints).
+// decodeSnapBodyBytes decodes a standalone engine-body blob (the
+// warm-restart cache) and binds it to the engine.
 func (e *Engine) decodeSnapBodyBytes(blob []byte) (*engineSnap, error) {
 	r := &snapReader{buf: blob}
-	snap, err := e.decodeSnapBody(r)
-	if err != nil {
-		return nil, err
+	body := parseEngineBody(r, e.rules.rules)
+	if r.err != nil {
+		return nil, r.err
 	}
 	if !r.done() {
 		return nil, fmt.Errorf("core: snapshot corrupt (%d trailing bytes in engine body)", r.remaining())
 	}
-	return snap, nil
-}
-
-// --- neutral body writer (portable checkpoints) ---
-
-// canonicalBindingAges renumbers media-binding LRU ages to 1..n in
-// relative-order (age, then AOR) so the checkpoint carries only the LRU
-// ORDER, never the raw clock values — those are geometry-dependent (each
-// shard worker stamps with its own clock), and only the order matters
-// for eviction. The accompanying clock is written as n, so post-restore
-// insertions always age past every restored binding. This is what keeps
-// checkpoints of the same logical state byte-identical across engine
-// geometries.
-func canonicalBindingAges(aors []string, age func(aor string) int) map[string]int {
-	order := append([]string(nil), aors...)
-	sort.Slice(order, func(i, j int) bool {
-		ai, aj := age(order[i]), age(order[j])
-		if ai != aj {
-			return ai < aj
-		}
-		return order[i] < order[j]
-	})
-	canon := make(map[string]int, len(order))
-	for i, aor := range order {
-		canon[aor] = i + 1
-	}
-	return canon
-}
-
-// writeEngineBody serializes an already-decoded rawEngineBody in exactly
-// the layout writeSnapBody produces from a live engine. The sharded
-// writer uses it to emit the folded global body; determinism comes from
-// sorting every keyed section here rather than trusting input order.
-func writeEngineBody(w *snapWriter, body *rawEngineBody) {
-	writeEngineStats(w, body.stats)
-	writeDistillerStats(w, body.dstats)
-	writeFragStreams(w, body.streams, body.reasmEvicted)
-	trails := append([]trailSnap(nil), body.trails...)
-	sort.Slice(trails, func(i, j int) bool {
-		if trails[i].session != trails[j].session {
-			return trails[i].session < trails[j].session
-		}
-		return trails[i].proto < trails[j].proto
-	})
-	w.u32(uint32(len(trails)))
-	for _, t := range trails {
-		w.str(t.session)
-		w.vint(int(t.proto))
-		w.vint(t.length)
-	}
-	writeIndexSnap(w, body.index)
-	type binding struct {
-		aor string
-		ip  netip.Addr
-		age int
-	}
-	binds := make([]binding, len(body.bindings))
-	ages := make(map[string]int, len(body.bindings))
-	aors := make([]string, len(body.bindings))
-	for i, aor := range body.bindings {
-		binds[i] = binding{aor: aor, ip: body.bindingIPs[i], age: body.bindingAges[i]}
-		ages[aor] = body.bindingAges[i]
-		aors[i] = aor
-	}
-	canon := canonicalBindingAges(aors, func(aor string) int { return ages[aor] })
-	sort.Slice(binds, func(i, j int) bool { return binds[i].aor < binds[j].aor })
-	w.u32(uint32(len(binds)))
-	for _, b := range binds {
-		w.str(b.aor)
-		w.addr(b.ip)
-		w.vint(canon[b.aor])
-	}
-	w.vint(len(binds))
-	w.vint(body.evictedSessions)
-	w.vint(body.evictedBindings)
-	writeCorrBlobs(w, body.corrs)
-	writeRuleSnap(w, body.rules)
-	writeEvents(w, body.events)
-}
-
-// writeFragStreams serializes reassembly streams in the writeReassembly
-// layout from their exported form.
-func writeFragStreams(w *snapWriter, streams []packet.FragStream, evicted int) {
-	w.u32(uint32(len(streams)))
-	for _, s := range streams {
-		w.addr(s.ID.Src)
-		w.addr(s.ID.Dst)
-		w.u8(s.ID.Proto)
-		w.u16(s.ID.ID)
-		w.bytes(s.Data)
-		w.bools(s.Have)
-		w.vint(s.TotalLen)
-		w.dur(s.First)
-	}
-	w.vint(evicted)
-}
-
-// writeIndexSnap serializes a decoded session index in the
-// writeSessionIndex layout, sorted by Call-ID.
-func writeIndexSnap(w *snapWriter, snap indexSnap) {
-	sessions := append([]sessionSnap(nil), snap.sessions...)
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i].st.callID < sessions[j].st.callID })
-	w.u32(uint32(len(sessions)))
-	for _, s := range sessions {
-		st := &s.st
-		w.str(st.callID)
-		w.dur(st.lastSeen)
-		w.bool(st.established)
-		w.str(st.callerAOR)
-		w.str(st.calleeAOR)
-		w.str(st.callerTag)
-		w.str(st.calleeTag)
-		w.addrPort(st.callerMedia)
-		w.addrPort(st.calleeMedia)
-		w.addr(st.inviteSrcIP)
-		w.bool(st.byeSeen)
-		w.dur(st.byeAt)
-		w.addrPort(st.byeFromMedia)
-		w.u32(st.lastReinviteSeq)
-		w.bool(st.reinviteSeen)
-		w.dur(st.reinviteAt)
-		w.addrPort(st.reinviteOldMedia)
-		w.bool(st.badFormat)
-		w.bool(st.acctStart)
-		w.bool(st.unmatchedOnce)
-		w.dur(st.rtcpByeAt)
-		w.bool(st.rtcpByePending)
-		w.bool(st.rtcpByeFired)
-		w.bool(st.isRegistration)
-		w.vint(st.challenges)
-		w.bool(st.floodFired)
-		guesses := append([]string(nil), s.guessResponses...)
-		sort.Strings(guesses)
-		w.u32(uint32(len(guesses)))
-		for _, g := range guesses {
-			w.str(g)
-		}
-		w.bool(st.guessFired)
-	}
-	regs := append([][2]string(nil), snap.pendingReg...)
-	sort.Slice(regs, func(i, j int) bool { return regs[i][0] < regs[j][0] })
-	w.u32(uint32(len(regs)))
-	for _, reg := range regs {
-		w.str(reg[0])
-		w.str(reg[1])
-	}
-}
-
-// writeRuleSnap serializes decoded rule-engine state in the
-// writeRuleEngine layout: partials grouped by rule|session key with keys
-// sorted and within-key insertion order preserved.
-func writeRuleSnap(w *snapWriter, snap ruleSnap) {
-	byKey := make(map[string][]partialSnap)
-	keys := make([]string, 0, len(snap.partials))
-	for _, ps := range snap.partials {
-		k := ps.rule + "|" + ps.session
-		if _, seen := byKey[k]; !seen {
-			keys = append(keys, k)
-		}
-		byKey[k] = append(byKey[k], ps)
-	}
-	sort.Strings(keys)
-	w.u32(uint32(len(keys)))
-	for _, k := range keys {
-		parts := byKey[k]
-		w.str(parts[0].rule)
-		w.str(parts[0].session)
-		w.u32(uint32(len(parts)))
-		for _, p := range parts {
-			w.dur(p.startedAt)
-			writeEvents(w, p.events)
-			w.vint(p.next)
-			w.bools(p.matched)
-			w.vint(p.remaining)
-		}
-	}
-	writeAlerts(w, snap.alerts)
-	type dedupEntry struct {
-		key string
-		idx int
-	}
-	dd := make([]dedupEntry, len(snap.dedupKeys))
-	for i, k := range snap.dedupKeys {
-		dd[i] = dedupEntry{key: k, idx: snap.dedupIdx[i]}
-	}
-	sort.Slice(dd, func(i, j int) bool { return dd[i].key < dd[j].key })
-	w.u32(uint32(len(dd)))
-	for _, d := range dd {
-		w.str(d.key)
-		w.vint(d.idx)
-	}
-	w.vint(snap.dedupBase)
-	w.vint(snap.evicted)
-	w.vint(snap.version)
-	w.vint(snap.eventsSeen)
-	// Absence machinery, writeAbsentState layout: pendings grouped by key
-	// (keys sorted, within-key order preserved), then the lookback table.
-	type pendGroup struct {
-		key  string
-		pend []pendingSnap
-	}
-	pendIdx := make(map[string]int)
-	var groups []pendGroup
-	for _, ps := range snap.pendings {
-		i, seen := pendIdx[ps.key]
-		if !seen {
-			i = len(groups)
-			pendIdx[ps.key] = i
-			groups = append(groups, pendGroup{key: ps.key})
-		}
-		groups[i].pend = append(groups[i].pend, ps)
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
-	w.u32(uint32(len(groups)))
-	for _, g := range groups {
-		w.str(g.key)
-		w.u32(uint32(len(g.pend)))
-		for _, p := range g.pend {
-			w.dur(p.completedAt)
-			w.dur(p.deadline)
-			writeAlert(w, p.alert)
-		}
-	}
-	type lastEntry struct {
-		key string
-		at  time.Duration
-	}
-	la := make([]lastEntry, len(snap.lastKeys))
-	for i, k := range snap.lastKeys {
-		la[i] = lastEntry{key: k, at: snap.lastAt[i]}
-	}
-	sort.Slice(la, func(i, j int) bool { return la[i].key < la[j].key })
-	w.u32(uint32(len(la)))
-	for _, e := range la {
-		w.str(e.key)
-		w.dur(e.at)
-	}
+	return e.bindBody(body)
 }
 
 // --- routing directory and fragment-buffer codecs ---
@@ -1508,11 +1304,7 @@ func writeRuleSnap(w *snapWriter, snap ruleSnap) {
 // reproducible across a restore: any geometry can re-derive every live
 // dialog's shard from these.
 func writeSticky(w *snapWriter, sticky map[string]string) {
-	ids := make([]string, 0, len(sticky))
-	for id := range sticky {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := sortedKeys(sticky)
 	w.u32(uint32(len(ids)))
 	for _, id := range ids {
 		w.str(id)
@@ -1520,13 +1312,14 @@ func writeSticky(w *snapWriter, sticky map[string]string) {
 	}
 }
 
-func readSticky(r *snapReader) (keys, vals []string) {
+func readSticky(r *snapReader) map[string]string {
 	n := r.count()
+	sticky := make(map[string]string, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		keys = append(keys, r.strv())
-		vals = append(vals, r.strv())
+		id := r.strv()
+		sticky[id] = r.strv()
 	}
-	return keys, vals
+	return sticky
 }
 
 // writeFragGroups serializes the buffered frames of in-progress IP
@@ -1623,7 +1416,15 @@ func writeStreamMux(w *snapWriter, m *streamMux) {
 	w.vint(m.reasm.CapacityEvicted())
 }
 
-func readStreamMux(r *snapReader) (streams []packet.TCPStreamState, framerBufs [][]byte, evicted int) {
+// muxSnap is the decoded stream-transport section.
+type muxSnap struct {
+	streams    []packet.TCPStreamState
+	framerBufs [][]byte
+	evicted    int
+}
+
+func readStreamMux(r *snapReader) muxSnap {
+	var snap muxSnap
 	n := r.count()
 	for i := 0; i < n && r.err == nil; i++ {
 		st := packet.TCPStreamState{
@@ -1638,23 +1439,23 @@ func readStreamMux(r *snapReader) (streams []packet.TCPStreamState, framerBufs [
 		for j := 0; j < ns && r.err == nil; j++ {
 			st.Segs = append(st.Segs, packet.TCPStreamSeg{Seq: r.u32(), Data: r.bytesv()})
 		}
-		streams = append(streams, st)
-		framerBufs = append(framerBufs, r.bytesv())
+		snap.streams = append(snap.streams, st)
+		snap.framerBufs = append(snap.framerBufs, r.bytesv())
 	}
-	evicted = r.vint()
-	return streams, framerBufs, evicted
+	snap.evicted = r.vint()
+	return snap
 }
 
 // install replaces the mux's state with a decoded checkpoint section. The
 // pending-message queue is always empty at snapshot time (both engines
 // drain extracted messages before the next frame), so only reassembly and
 // framing state carry over.
-func (m *streamMux) install(streams []packet.TCPStreamState, framerBufs [][]byte, evicted int) {
-	m.reasm.ImportStreams(streams, evicted)
+func (m *streamMux) install(snap muxSnap) {
+	m.reasm.ImportStreams(snap.streams, snap.evicted)
 	clear(m.framers)
-	for i, st := range streams {
+	for i, st := range snap.streams {
 		fr := new(sip.StreamFramer)
-		fr.SetState(framerBufs[i])
+		fr.SetState(snap.framerBufs[i])
 		m.framers[st.ID] = fr
 	}
 	m.queue, m.qhead = m.queue[:0], 0
@@ -1687,9 +1488,9 @@ func (e *Engine) installSnap(snap *engineSnap, outputs bool) {
 	ctx := e.gen.ctx
 	clear(ctx.bindings)
 	clear(ctx.bindingAge)
-	for i, aor := range snap.bindings {
-		ctx.bindings[aor] = snap.bindingIPs[i]
-		ctx.bindingAge[aor] = snap.bindingAges[i]
+	for _, b := range snap.bindings {
+		ctx.bindings[b.aor] = b.ip
+		ctx.bindingAge[b.aor] = b.age
 	}
 	ctx.bindingClock = snap.bindingClock
 	if outputs {
@@ -1731,12 +1532,49 @@ func (e *Engine) Snapshot() ([]byte, error) {
 	}
 	var w snapWriter
 	writeSnapHeader(&w, e.header())
-	e.writeSnapBodyWithStats(&w, e.Stats())
+	body := e.exportBody(e.Stats())
+	writeEngineBody(&w, &body)
 	writeSticky(&w, e.gen.sticky)
 	writeFragGroups(&w, e.distiller.frags)
 	writeStreamMux(&w, e.distiller.streams)
 	w.u64(fnv64(w.buf))
 	return w.buf, nil
+}
+
+// checkpoint is a decoded portable checkpoint, validated against the
+// restoring engine's identity but not yet installed.
+type checkpoint struct {
+	header snapHeader
+	body   rawEngineBody
+	sticky map[string]string
+	frags  fragMirror
+	mux    muxSnap
+}
+
+// readCheckpoint is the one checkpoint reader both engine kinds restore
+// through: it opens the snapshot (checksum and header framing), validates
+// the header against want, parses the body (rule shapes checked against
+// rules), reads the sticky, fragment-group and stream-mux sections, and
+// rejects trailing bytes.
+func readCheckpoint(data []byte, want snapHeader, rules []Rule) (*checkpoint, error) {
+	h, r, err := openSnapshot(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := validateSnapHeader(h, want); err != nil {
+		return nil, err
+	}
+	c := &checkpoint{header: h, body: parseEngineBody(r, rules)}
+	c.sticky = readSticky(r)
+	c.frags = readFragGroups(r)
+	c.mux = readStreamMux(r)
+	if r.err != nil {
+		return nil, r.err
+	}
+	if !r.done() {
+		return nil, fmt.Errorf("core: snapshot corrupt (%d trailing bytes)", r.remaining())
+	}
+	return c, nil
 }
 
 // RestoreSnapshot rebuilds the engine's state from a portable checkpoint
@@ -1751,25 +1589,13 @@ func (e *Engine) RestoreSnapshot(data []byte) error {
 	if e.stats.Frames != 0 {
 		return fmt.Errorf("core: restore requires a fresh engine (this one already processed %d frames)", e.stats.Frames)
 	}
-	h, r, err := openSnapshot(data)
+	c, err := readCheckpoint(data, e.header(), e.rules.rules)
 	if err != nil {
 		return err
 	}
-	if err := validateSnapHeader(h, e.header()); err != nil {
-		return err
-	}
-	snap, err := e.decodeSnapBody(r)
+	snap, err := e.bindBody(c.body)
 	if err != nil {
 		return err
-	}
-	stickyKeys, stickyVals := readSticky(r)
-	fragGroups := readFragGroups(r)
-	tcpStreams, framerBufs, tcpEvicted := readStreamMux(r)
-	if r.err != nil {
-		return r.err
-	}
-	if !r.done() {
-		return fmt.Errorf("core: snapshot corrupt (%d trailing bytes)", r.remaining())
 	}
 	e.installSnap(snap, true)
 	// The portable stats block is the folded Stats() view, which already
@@ -1779,12 +1605,10 @@ func (e *Engine) RestoreSnapshot(data []byte) error {
 	e.stats.IMHistoriesEvicted = 0
 	e.stats.SeqTrackersEvicted = 0
 	clear(e.gen.sticky)
-	for i, id := range stickyKeys {
-		e.gen.sticky[id] = stickyVals[i]
-	}
-	e.distiller.frags.install(fragGroups)
+	maps.Copy(e.gen.sticky, c.sticky)
+	e.distiller.frags.install(c.frags)
 	if e.distiller.streams != nil {
-		e.distiller.streams.install(tcpStreams, framerBufs, tcpEvicted)
+		e.distiller.streams.install(c.mux)
 	}
 	return nil
 }

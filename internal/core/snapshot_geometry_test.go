@@ -152,30 +152,110 @@ func TestCrossGeometryResumeDifferential(t *testing.T) {
 	}
 }
 
+// checkpointProvenance is the header span (engine kind at offset 5, shard
+// and ingest widths at 6..13) that records which geometry wrote a
+// checkpoint, and checksumLen the trailing checksum that covers it: the
+// only bytes two checkpoints of the same logical state may differ in.
+const (
+	provenanceStart, provenanceEnd = 5, 14
+	checksumLen                    = 8
+)
+
+// sameCheckpointState reports where two checkpoints of what should be the
+// same logical state differ outside the provenance fields and checksum.
+func sameCheckpointState(t *testing.T, label string, got, want []byte) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: checkpoint is %d bytes, want %d", label, len(got), len(want))
+		return
+	}
+	for i := 0; i < len(want)-checksumLen; i++ {
+		if i == provenanceStart {
+			i = provenanceEnd
+		}
+		if got[i] != want[i] {
+			t.Errorf("%s: checkpoint differs at offset %d (outside the header's provenance fields)", label, i)
+			return
+		}
+	}
+}
+
 // TestCrossGeometrySnapshotBytes pins the stronger property the portable
 // format was built around: the checkpoint BYTES of the same logical state
 // are identical no matter which geometry serialized them, because every
 // writer works from a session-keyed global view with deterministic
 // ordering. Capture geometry is recorded in the header purely as
-// provenance — its fields (engine kind at offset 5, shard and ingest
-// widths at 6..13) and the trailing checksum that covers them are the
-// only bytes allowed to differ.
+// provenance — its fields and the trailing checksum that covers them are
+// the only bytes allowed to differ. Every scenario is held to this,
+// including the ones whose frames the sharded router absorbs (fragments,
+// TCP segments, unclaimed traffic), which the distiller-stats block
+// must count exactly as the serial distiller does.
 func TestCrossGeometrySnapshotBytes(t *testing.T) {
-	const geoEnd, checksumLen = 14, 8
-	frames := scenarioFrames(t, "bye", 7)
-	k := len(frames) / 2
-	want := checkpointAt(t, frames, k, geometry{shards: 0}, core.Config{})
-	for _, g := range []geometry{{shards: 1, ingest: 1}, {shards: 2, ingest: 1}, {shards: 8, ingest: 2}} {
-		got := checkpointAt(t, frames, k, g, core.Config{})
-		if len(got) != len(want) {
-			t.Errorf("%v checkpoint is %d bytes, serial is %d", g, len(got), len(want))
+	for _, name := range experiments.ScenarioNames() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			frames := scenarioFrames(t, name, 7)
+			k := len(frames) / 2
+			want := checkpointAt(t, frames, k, geometry{shards: 0}, core.Config{})
+			for _, g := range []geometry{{shards: 1, ingest: 1}, {shards: 2, ingest: 1}, {shards: 8, ingest: 2}} {
+				sameCheckpointState(t, fmt.Sprintf("%s: %v vs serial", name, g), checkpointAt(t, frames, k, g, core.Config{}), want)
+			}
+		})
+	}
+}
+
+// resnapshotAt restores a checkpoint into a fresh engine of the given
+// geometry and snapshots it again before any further frame.
+func resnapshotAt(t *testing.T, snap []byte, g geometry) []byte {
+	t.Helper()
+	if g.shards == 0 {
+		eng := core.NewEngine(core.Config{}, core.WithEventLog())
+		if err := eng.RestoreSnapshot(snap); err != nil {
+			t.Fatalf("%v restore: %v", g, err)
+		}
+		again, err := eng.Snapshot()
+		if err != nil {
+			t.Fatalf("%v re-snapshot: %v", g, err)
+		}
+		return again
+	}
+	eng := core.NewShardedEngine(core.Config{IngestRouters: g.ingest}, g.shards, core.WithEventLog())
+	defer eng.Close()
+	if err := eng.RestoreSnapshot(snap); err != nil {
+		t.Fatalf("%v restore: %v", g, err)
+	}
+	again, err := eng.Snapshot()
+	if err != nil {
+		t.Fatalf("%v re-snapshot: %v", g, err)
+	}
+	return again
+}
+
+// TestRestoreResnapshotIdentity is the decode→encode half of the one
+// body codec: a checkpoint captured at any geometry, restored into any
+// engine kind and shard count and snapshotted again at once, reproduces
+// its own bytes (outside the provenance fields and checksum). Restore
+// installs everything the body holds, and the writer encodes everything
+// it installed.
+func TestRestoreResnapshotIdentity(t *testing.T) {
+	captures := []geometry{{shards: 0}, {shards: 1, ingest: 1}, {shards: 8, ingest: 2}}
+	restores := []geometry{{shards: 0}, {shards: 1, ingest: 1}, {shards: 2, ingest: 1}, {shards: 8, ingest: 1}}
+	for _, name := range experiments.ScenarioNames() {
+		if testing.Short() && !shortKillScenarios[name] {
 			continue
 		}
-		for i := geoEnd; i < len(want)-checksumLen; i++ {
-			if got[i] != want[i] {
-				t.Errorf("%v checkpoint differs from serial at offset %d (outside the header's provenance fields)", g, i)
-				break
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			frames := scenarioFrames(t, name, 7)
+			k := len(frames) / 2
+			for _, cg := range captures {
+				snap := checkpointAt(t, frames, k, cg, core.Config{})
+				for _, rg := range restores {
+					sameCheckpointState(t, fmt.Sprintf("%s: %v ckpt → %v restore → snapshot", name, cg, rg), resnapshotAt(t, snap, rg), snap)
+				}
 			}
-		}
+		})
 	}
 }

@@ -2,31 +2,34 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
 	"strings"
-	"time"
 )
 
-// Sharded checkpoint/restore over the portable (v3) format. A sharded
+// Sharded checkpoint/restore over the portable format. A sharded
 // snapshot is a coordinated quiescent-point capture folded into the same
-// session-keyed global layout the serial engine writes: a snapshot marker
+// session-keyed global body the serial engine writes: a snapshot marker
 // is enqueued to every shard behind all pending work (the consistent cut),
-// each worker serializes its pipeline body, and the writer mines those
-// bodies back into one global engine body — one folded stats block, the
-// union of the per-shard session tables, trails and partial matches, the
-// merged alert/event streams (in merge-tag order, exactly what Alerts()
-// and Events() return), the merged or router-owned correlator state, plus
-// the router's own routing directory (sticky pins) and buffered fragment
-// groups. Because the body is keyed by session, restore re-routes every
-// session through the restoring engine's router config: a checkpoint
-// captured at one shards × ingest geometry resumes at any other, or on
-// the serial engine, with identical outputs.
+// each worker exports its pipeline into a rawEngineBody and hands it
+// across the marker's ack, and the writer concatenates those bodies into
+// one global body — the union of the per-shard session tables, trails
+// and partial matches, the merged correlator state — around the folded
+// stats, the merged alert/event streams (in merge-tag order, exactly what
+// Alerts() and Events() return) and the router's own state, then encodes
+// it with writeEngineBody plus the routing directory (sticky pins) and
+// buffered fragment groups. Because the body is keyed by session, restore
+// splits it by the restoring engine's router config and binds each
+// shard's slice straight to that shard's engine: a checkpoint captured at
+// one shards × ingest geometry resumes at any other, or on the serial
+// engine, with identical outputs. No body is encoded and re-parsed inside
+// the process except the per-shard warm-restart cache (lastEngineSnap),
+// a deep copy that must outlive a panicking engine.
 //
 // Like Snapshot/RestoreSnapshot on the serial engine, neither may run
 // concurrently with HandleFrame or Close.
 
-// workerRestore is one shard's slice of a portable checkpoint, fully
-// decoded against that shard's fresh engine and ready to install. It
+// workerRestore is one shard's slice of a portable checkpoint, bound to
+// that shard's fresh engine and ready to install. It
 // travels to the worker goroutine via an itemRestore marker (the channel
 // send orders the install before any subsequent work).
 type workerRestore struct {
@@ -63,14 +66,14 @@ func addDistillerStats(a, b DistillerStats) DistillerStats {
 	return a
 }
 
-// snapshotWorker serializes the worker's engine body (runs on the worker
-// goroutine, after publish, at the marker's consistent cut). It also
-// refreshes the warm-restart cache.
-func (w *shardWorker) snapshotWorker() []byte {
-	var eb snapWriter
-	w.eng.writeSnapBody(&eb)
-	w.lastEngineSnap = append([]byte(nil), eb.buf...)
-	return eb.buf
+// snapshotWorker exports the worker's engine body (runs on the worker
+// goroutine, after publish, at the marker's consistent cut) and refreshes
+// the warm-restart cache with its encoding. The writer reads the body
+// after the marker's ack, while the worker stays idle.
+func (w *shardWorker) snapshotWorker() *rawEngineBody {
+	body := w.eng.exportBody(w.eng.stats)
+	w.lastEngineSnap = encodeBody(&body)
+	return &body
 }
 
 // installRestore installs one shard's slice of a portable checkpoint
@@ -81,9 +84,8 @@ func (w *shardWorker) snapshotWorker() []byte {
 // the capture-time order ahead of anything the resumed run appends.
 func (w *shardWorker) installRestore(p *workerRestore) {
 	w.eng.installSnap(p.engine, true)
-	var eb snapWriter
-	w.eng.writeSnapBody(&eb)
-	w.lastEngineSnap = eb.buf
+	body := w.eng.exportBody(w.eng.stats)
+	w.lastEngineSnap = encodeBody(&body)
 	w.alertTags = append(w.alertTags[:0], p.alertTags...)
 	w.eventTags = append(w.eventTags[:0], p.eventTags...)
 	w.trimmedA, w.trimmedE = 0, 0
@@ -116,16 +118,16 @@ func (s *ShardedEngine) header() snapHeader {
 // Snapshot captures the whole sharded pipeline at a quiescent point into
 // a portable, session-keyed checkpoint. It flushes all queued work, takes
 // the merged output views, enqueues a snapshot marker to every shard
-// behind anything still pending (the consistent cut) while serializing
-// the router's own state under the routing lock, then mines the per-shard
-// bodies into one global engine body. Must not run concurrently with
-// HandleFrame or Close.
+// behind anything still pending (the consistent cut) while exporting the
+// router's own state under the routing lock, then concatenates the
+// per-shard bodies into one global engine body. Must not run
+// concurrently with HandleFrame or Close.
 //
 // Shards quarantined as panicked or stalled ack the marker through their
-// drain path without serializing: their published alerts, events and
+// drain path without exporting: their published alerts, events and
 // stats survive (they are part of the merged views) but their private
-// detection state and distiller counters are not captured — a degraded
-// but well-formed checkpoint, mirroring the quarantine's own data loss.
+// detection state is not captured — a degraded but well-formed
+// checkpoint, mirroring the quarantine's own data loss.
 func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	// Merged output views first (each flushes). Snapshot never runs
 	// concurrently with HandleFrame, so the pipeline cannot advance
@@ -138,32 +140,29 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("core: snapshot: engine is closed")
 	}
-	blobs := make([]*[]byte, len(s.workers))
+	bodies := make([]*rawEngineBody, len(s.workers))
 	acks := make([]chan struct{}, len(s.workers))
 	for i := range s.workers {
-		blobs[i] = new([]byte)
 		acks[i] = make(chan struct{})
-		s.pending[i] = append(s.pending[i], shardItem{kind: itemSnapshot, snap: blobs[i], ack: acks[i]})
+		s.pending[i] = append(s.pending[i], shardItem{kind: itemSnapshot, snap: &bodies[i], ack: acks[i]})
 		s.flushShardLocked(i)
 	}
 	var w snapWriter
 	writeSnapHeader(&w, s.header())
-	streams := s.reasm.ExportStreams()
-	// Router correlator state, position-indexed over the snapshotters.
-	// stateSharder correlators are worker-resident: their global blob is
-	// the merge of the per-shard blobs (filled in below). The rest are
-	// router-authoritative (their hinter state judges every frame here in
-	// global order): the global blob is the router instance's state.
-	snaps := snapshotters(s.correlators)
-	routerCorrs := make([]corrBlob, len(snaps))
-	for i, c := range snaps {
-		routerCorrs[i] = corrBlob{name: c.Name()}
-		if _, ok := c.(stateSharder); ok {
-			continue
-		}
-		var cw snapWriter
-		c.(snapshotter).snapshotState(&cw)
-		routerCorrs[i].blob = cw.buf
+	// Router correlator state, position-indexed over the snapshotters:
+	// the router instances are authoritative (their hinter state judges
+	// every frame here in global order) except for stateSharder
+	// correlators, which are worker-resident — their entries are replaced
+	// below by the merge of the per-shard states.
+	body := rawEngineBody{
+		stats:           folded,
+		streams:         s.reasm.ExportStreams(),
+		reasmEvicted:    folded.FragGroupsEvicted,
+		evictedSessions: folded.SessionsCapEvicted,
+		evictedBindings: folded.BindingsEvicted,
+		corrs:           exportCorrs(s.correlators),
+		rules:           newRuleSnap(),
+		events:          events,
 	}
 	var tail snapWriter
 	writeSticky(&tail, s.sticky)
@@ -173,36 +172,26 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	for i, ack := range acks {
 		awaitAck(s.workers[i], ack)
 	}
-	body := rawEngineBody{
-		stats:           folded,
-		dstats:          s.restoredDstats,
-		streams:         streams,
-		reasmEvicted:    folded.FragGroupsEvicted,
-		evictedSessions: folded.SessionsCapEvicted,
-		evictedBindings: folded.BindingsEvicted,
-	}
+	body.dstats = s.DistillerStats()
 	workerCorr := make(map[string][][]byte)
-	lastSeen := make(map[string]time.Duration)
 	bestClock := -1
-	for i := range s.workers {
-		blob := *blobs[i]
-		if blob == nil {
+	for _, wb := range bodies {
+		if wb == nil {
 			// Quarantined or stalled shard: degraded capture (see doc).
 			continue
 		}
-		wb, err := parseEngineBodyBytes(blob, nil)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot: shard %d state: %w", i, err)
-		}
-		body.dstats = addDistillerStats(body.dstats, wb.dstats)
 		body.trails = append(body.trails, wb.trails...)
 		body.index.sessions = append(body.index.sessions, wb.index.sessions...)
 		body.index.pendingReg = append(body.index.pendingReg, wb.index.pendingReg...)
-		body.rules.partials = append(body.rules.partials, wb.rules.partials...)
-		body.rules.pendings = append(body.rules.pendings, wb.rules.pendings...)
-		for li, k := range wb.rules.lastKeys {
-			if at, seen := lastSeen[k]; !seen || wb.rules.lastAt[li] > at {
-				lastSeen[k] = wb.rules.lastAt[li]
+		for k, parts := range wb.rules.partials {
+			body.rules.partials[k] = append(body.rules.partials[k], parts...)
+		}
+		for k, pend := range wb.rules.pendings {
+			body.rules.pendings[k] = append(body.rules.pendings[k], pend...)
+		}
+		for k, at := range wb.rules.lastAbsent {
+			if seen, ok := body.rules.lastAbsent[k]; !ok || at > seen {
+				body.rules.lastAbsent[k] = at
 			}
 		}
 		// Bindings are replicated to every shard and age identically;
@@ -210,16 +199,13 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 		if wb.bindingClock > bestClock {
 			bestClock = wb.bindingClock
 			body.bindings = wb.bindings
-			body.bindingIPs = wb.bindingIPs
-			body.bindingAges = wb.bindingAges
 			body.bindingClock = wb.bindingClock
 		}
 		for _, cb := range wb.corrs {
 			workerCorr[cb.name] = append(workerCorr[cb.name], cb.blob)
 		}
 	}
-	body.corrs = routerCorrs
-	for i, c := range snaps {
+	for i, c := range snapshotters(s.correlators) {
 		sh, ok := c.(stateSharder)
 		if !ok {
 			continue
@@ -241,23 +227,11 @@ func (s *ShardedEngine) Snapshot() ([]byte, error) {
 	body.rules.dedupBase = folded.AlertsEvicted
 	body.rules.evicted = folded.AlertsEvicted
 	body.rules.eventsSeen = folded.Events
-	version := folded.AlertsEvicted
+	body.rules.version = folded.AlertsEvicted
 	for gi, a := range alerts {
-		body.rules.dedupKeys = append(body.rules.dedupKeys, a.Rule+"|"+a.Session)
-		body.rules.dedupIdx = append(body.rules.dedupIdx, gi+folded.AlertsEvicted)
-		version += a.Count
+		body.rules.dedup[a.Rule+"|"+a.Session] = gi + folded.AlertsEvicted
+		body.rules.version += a.Count
 	}
-	body.rules.version = version
-	lk := make([]string, 0, len(lastSeen))
-	for k := range lastSeen {
-		lk = append(lk, k)
-	}
-	sort.Strings(lk)
-	for _, k := range lk {
-		body.rules.lastKeys = append(body.rules.lastKeys, k)
-		body.rules.lastAt = append(body.rules.lastAt, lastSeen[k])
-	}
-	body.events = events
 	writeEngineBody(&w, &body)
 	w.buf = append(w.buf, tail.buf...)
 	w.u64(fnv64(w.buf))
@@ -280,36 +254,27 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	if n := s.frames.Load(); n != 0 {
 		return fmt.Errorf("core: restore requires a fresh engine (this one already routed %d frames)", n)
 	}
-	h, r, err := openSnapshot(data)
+	c, err := readCheckpoint(data, s.header(), *s.liveRules.Load())
 	if err != nil {
 		return err
 	}
-	if err := validateSnapHeader(h, s.header()); err != nil {
-		return err
-	}
-	body := parseEngineBody(r, *s.liveRules.Load())
-	stickyKeys, stickyVals := readSticky(r)
-	fragGroups := readFragGroups(r)
-	tcpStreams, framerBufs, tcpEvicted := readStreamMux(r)
-	if r.err != nil {
-		return r.err
-	}
-	if !r.done() {
-		return fmt.Errorf("core: snapshot corrupt (%d trailing bytes)", r.remaining())
-	}
+	body := &c.body
 	n := len(s.workers)
-	sticky := make(map[string]string, len(stickyKeys))
-	for i, id := range stickyKeys {
-		sticky[id] = stickyVals[i]
-	}
 	// shardFor re-routes a session through this engine's geometry: the
 	// pinned routing key when the dialog has one, else the session key
 	// itself (exactly what the router hashes for non-pinned traffic).
 	shardFor := func(session string) int {
-		if rk, ok := sticky[session]; ok {
+		if rk, ok := c.sticky[session]; ok {
 			return shardOf(rk, n)
 		}
 		return shardOf(session, n)
+	}
+	// ruleShard places a rule-engine entry keyed rule|key: partials
+	// travel with their session, the absence machinery with its
+	// correlation key (the part after the separator).
+	ruleShard := func(k string) int {
+		_, ck, _ := strings.Cut(k, "|")
+		return shardFor(ck)
 	}
 	shards := make([]rawEngineBody, n)
 	for j := range shards {
@@ -318,9 +283,13 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 		// zero: the folded history lives in restoredStats below, and the
 		// shards re-count only what happens after the resume.
 		shards[j].bindings = body.bindings
-		shards[j].bindingIPs = body.bindingIPs
-		shards[j].bindingAges = body.bindingAges
 		shards[j].bindingClock = body.bindingClock
+		shards[j].rules = newRuleSnap()
+		// Worker instances of router-authoritative correlators never
+		// accumulate state (verdicts arrive as RouteHints), so the fresh
+		// shard's own empty state is exactly what an uninterrupted run
+		// holds; stateSharder entries are replaced below.
+		shards[j].corrs = exportCorrs(s.workers[j].eng.gen.correlators)
 	}
 	for _, t := range body.trails {
 		j := shardFor(t.session)
@@ -334,23 +303,14 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 		j := shardFor(reg[0])
 		shards[j].index.pendingReg = append(shards[j].index.pendingReg, reg)
 	}
-	for _, ps := range body.rules.partials {
-		j := shardFor(ps.session)
-		shards[j].rules.partials = append(shards[j].rules.partials, ps)
+	for k, parts := range body.rules.partials {
+		shards[ruleShard(k)].rules.partials[k] = parts
 	}
-	// Absence machinery travels with its correlation key (the part of
-	// rule|key after the separator), exactly as partials travel with
-	// their session.
-	for _, ps := range body.rules.pendings {
-		_, ck, _ := strings.Cut(ps.key, "|")
-		j := shardFor(ck)
-		shards[j].rules.pendings = append(shards[j].rules.pendings, ps)
+	for k, pend := range body.rules.pendings {
+		shards[ruleShard(k)].rules.pendings[k] = pend
 	}
-	for li, k := range body.rules.lastKeys {
-		_, ck, _ := strings.Cut(k, "|")
-		j := shardFor(ck)
-		shards[j].rules.lastKeys = append(shards[j].rules.lastKeys, k)
-		shards[j].rules.lastAt = append(shards[j].rules.lastAt, body.rules.lastAt[li])
+	for k, at := range body.rules.lastAbsent {
+		shards[ruleShard(k)].rules.lastAbsent[k] = at
 	}
 	// Split the merged output streams. Position tags (frame 0, global
 	// ordinal) keep the merged order identical to the capture; self-
@@ -371,8 +331,7 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	for j := range shards {
 		rs := &shards[j].rules
 		for i, a := range rs.alerts {
-			rs.dedupKeys = append(rs.dedupKeys, a.Rule+"|"+a.Session)
-			rs.dedupIdx = append(rs.dedupIdx, i)
+			rs.dedup[a.Rule+"|"+a.Session] = i
 		}
 		rs.version = len(rs.alerts)
 	}
@@ -384,55 +343,41 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 	}
 	// Correlator state. stateSharder blobs are filtered down to each
 	// shard's keep set (the same routing keys the router pins); the rest
-	// install onto the router's instances, with each shard receiving a
-	// freshly serialized empty state — worker instances of router-
-	// authoritative correlators never accumulate state (verdicts arrive
-	// as RouteHints), so empty is exactly what an uninterrupted run holds.
+	// install onto the router's instances.
 	snaps := snapshotters(s.correlators)
 	if len(body.corrs) != len(snaps) {
 		return fmt.Errorf("core: snapshot holds %d correlator states; engine has %d stateful correlators", len(body.corrs), len(snaps))
 	}
 	var routerInstalls []func()
-	var emptySnaps []Correlator
 	for ci, c := range snaps {
 		cb := body.corrs[ci]
 		if cb.name != c.Name() {
 			return fmt.Errorf("core: snapshot correlator state %q does not match engine correlator %q", cb.name, c.Name())
 		}
-		if sh, ok := c.(stateSharder); ok {
-			for j := range shards {
-				keepShard := j
-				filtered, err := sh.filterState(cb.blob, func(rk string) bool { return shardOf(rk, n) == keepShard })
-				if err != nil {
-					return fmt.Errorf("core: snapshot corrupt (correlator %s: %v)", c.Name(), err)
-				}
-				shards[j].corrs = append(shards[j].corrs, corrBlob{name: cb.name, blob: filtered})
+		sh, ok := c.(stateSharder)
+		if !ok {
+			install, err := decodeCorrBlob(c, cb.blob)
+			if err != nil {
+				return err
 			}
+			routerInstalls = append(routerInstalls, install)
 			continue
 		}
-		install, err := decodeCorrBlob(c, cb.blob)
-		if err != nil {
-			return err
-		}
-		routerInstalls = append(routerInstalls, install)
-		if emptySnaps == nil {
-			emptySnaps = snapshotters(buildCorrelators(s.cfg.Correlators, s.gen))
-		}
-		var ew snapWriter
-		emptySnaps[ci].(snapshotter).snapshotState(&ew)
 		for j := range shards {
-			shards[j].corrs = append(shards[j].corrs, corrBlob{name: cb.name, blob: ew.buf})
+			filtered, err := sh.filterState(cb.blob, func(rk string) bool { return shardOf(rk, n) == j })
+			if err != nil {
+				return fmt.Errorf("core: snapshot corrupt (correlator %s: %v)", c.Name(), err)
+			}
+			shards[j].corrs[ci].blob = filtered
 		}
 	}
-	// Decode every shard's slice against its (fresh, quiescent) engine
-	// before anything installs. The driver may touch the worker engines
-	// here: restore requires a fresh engine and never runs concurrently
-	// with HandleFrame, so the workers are idle.
+	// Bind every shard's slice to its (fresh, quiescent) engine's
+	// correlators before anything installs. The driver may touch the
+	// worker engines here: restore requires a fresh engine and never runs
+	// concurrently with HandleFrame, so the workers are idle.
 	restores := make([]*workerRestore, n)
 	for j := range shards {
-		var bw snapWriter
-		writeEngineBody(&bw, &shards[j])
-		snap, err := s.workers[j].eng.decodeSnapBodyBytes(bw.buf)
+		snap, err := s.workers[j].eng.bindBody(shards[j])
 		if err != nil {
 			return fmt.Errorf("core: restore: shard %d: %w", j, err)
 		}
@@ -443,22 +388,20 @@ func (s *ShardedEngine) RestoreSnapshot(data []byte) error {
 		s.mu.Unlock()
 		return fmt.Errorf("core: restore: engine is closed")
 	}
-	s.frameIdx = h.frames
-	s.frames.Store(h.frames)
+	s.frameIdx = c.header.frames
+	s.frames.Store(c.header.frames)
 	installSessionIndex(s.idx, body.index)
 	s.reasm.ImportStreams(body.streams, body.reasmEvicted)
-	s.frags.install(fragGroups)
-	s.streams.install(tcpStreams, framerBufs, tcpEvicted)
+	s.frags.install(c.frags)
+	s.streams.install(c.mux)
 	for _, install := range routerInstalls {
 		install()
 	}
 	clear(s.sticky)
-	for i, id := range stickyKeys {
-		s.sticky[id] = stickyVals[i]
-	}
+	maps.Copy(s.sticky, c.sticky)
 	s.capSessions.Store(uint64(body.evictedSessions))
 	s.capFrags.Store(uint64(body.reasmEvicted))
-	s.capStreams.Store(uint64(tcpEvicted))
+	s.capStreams.Store(uint64(c.mux.evicted))
 	s.shardsFailed.Store(uint64(body.stats.ShardsFailed))
 	s.shardsRestarted.Store(uint64(body.stats.ShardsRestarted))
 	s.selfMu.Lock()
